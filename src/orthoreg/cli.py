@@ -7,10 +7,14 @@ compare        Classical vs conjugate vs orthogonal line on 2D data.
 economy        Plane-based indicators for the builtin or external economies.
 gen-bumblebee  Write a deterministic noisy-line cloud as CSV.
 
-Exit codes: 0 success, 2 usage errors, 3 parse/schema/invalid-input errors,
-4 degenerate geometry, 5 numerical failure. Reports go to stdout; plot and
-scene files go to --output-dir (or $ORTHOREG_OUTPUT_DIR, default "."), with
-their paths announced on stderr so stdout stays machine-readable.
+Exit codes: 0 success, 2 usage errors (including a file that cannot be read
+or written), 3 parse/schema/invalid-input errors, 4 degenerate geometry,
+5 numerical failure. Reports go to stdout; plot and scene files go to
+--output-dir (or $ORTHOREG_OUTPUT_DIR, default "."), with their paths
+announced on stderr so stdout stays machine-readable. Each command builds its
+whole report and every file before anything is written: on success the files
+are written first (parent directories created), then the report. A command
+that fails writes nothing; a file that cannot be written leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ OUTPUT_DIR_ENV = "ORTHOREG_OUTPUT_DIR"
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
@@ -189,16 +193,16 @@ def emit_plot_svg(report, projection: tuple[int, int] | None = None) -> str:
 
 
 def _output_dir(args) -> Path:
-    chosen = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "."
-    path = Path(chosen)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or ".")
 
 
-def _write_file(directory: Path, name: str, content: str) -> None:
-    target = directory / name
-    target.write_text(content, encoding="utf-8")
-    print(f"wrote {target}", file=sys.stderr)
+def _write_file(path: Path, content: str) -> None:
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(content, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
+    print(f"wrote {path}", file=sys.stderr)
 
 
 def _columns_arg(text: str | None):
@@ -312,25 +316,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args):
     req = FitRequest(
         input=args.input,
         geometry=args.geometry,
         columns=args.columns,
         label_column=args.label_column,
-        output_format=args.output_format,
-        emit_plot=args.plot,
         error_metric=args.error_metric,
         country=args.country,
-        projection=args.projection,
         delimiter=args.delimiter,
     )
     report = run_fit(req)
-    sys.stdout.write(render_fit(report, req.output_format))
-    if req.emit_plot:
-        svg = emit_plot_svg(report, projection=req.projection)
-        _write_file(_output_dir(args), f"fit_{req.geometry}.svg", svg)
-    return EXIT_OK
+    text = render_fit(report, args.output_format)
+    files = []
+    if args.plot:
+        svg = emit_plot_svg(report, projection=args.projection)
+        files.append((_output_dir(args) / f"fit_{req.geometry}.svg", svg))
+    return text, files
 
 
 def run_compare(source_text: str, columns=None, label_column=None, delimiter=","):
@@ -345,72 +347,57 @@ def run_compare(source_text: str, columns=None, label_column=None, delimiter=","
     return compare_ols_tls(cloud.points[:, 0], cloud.points[:, 1])
 
 
-def _cmd_compare(args) -> int:
-    text = _read_text(args.input)
+def _cmd_compare(args):
+    source = _read_text(args.input)
     columns = args.columns
     if columns is not None and len(columns) != 2:
         raise UsageError("compare needs exactly two columns")
     report = run_compare(
-        text, columns=columns, label_column=args.label_column, delimiter=args.delimiter
+        source, columns=columns, label_column=args.label_column, delimiter=args.delimiter
     )
-    sys.stdout.write(render_compare(report, {"input": args.input}, args.output_format))
+    text = render_compare(report, {"input": args.input}, args.output_format)
+    files = []
     if args.plot:
-        _write_file(_output_dir(args), "compare.svg", emit_plot_svg(report))
-    return EXIT_OK
+        files.append((_output_dir(args) / "compare.svg", emit_plot_svg(report)))
+    return text, files
 
 
-def run_economy(series_list=None, metric: str = DEFAULT_ERROR_METRIC):
-    """Indicators for the given series (default: builtin data in report order)."""
-    if series_list is None:
-        by_code = {s.country: s for s in v4_dataset()}
-        series_list = [by_code[c] for c in V4_REPORT_ORDER]
-    return economy_indicators(series_list, metric=metric)
-
-
-def _cmd_economy(args) -> int:
+def _cmd_economy(args):
     if args.data is not None:
         series_list = parse_indicator_csv(_read_text(args.data))
         provenance = args.data
     else:
-        series_list = None
+        series_list = v4_dataset()
         provenance = BUILTIN_V4
     if args.dump_data:
-        dump = series_list
-        if dump is None:
-            dump = v4_dataset()
-        sys.stdout.write(format_indicator_csv(dump))
-        return EXIT_OK
-    indicators = run_economy(series_list, metric=args.error_metric)
-    sys.stdout.write(
-        render_economy(
-            indicators, {"input": provenance, "metric": args.error_metric}, args.output_format
-        )
+        return format_indicator_csv(series_list), []
+    if args.data is None:
+        by_code = {s.country: s for s in series_list}
+        series_list = [by_code[c] for c in V4_REPORT_ORDER]
+    indicators = economy_indicators(series_list, metric=args.error_metric)
+    text = render_economy(
+        indicators, {"input": provenance, "metric": args.error_metric}, args.output_format
     )
+    files = []
     if args.plot:
         out = _output_dir(args)
-        used = series_list
-        if used is None:
-            by_code = {s.country: s for s in v4_dataset()}
-            used = [by_code[c] for c in V4_REPORT_ORDER]
-        years = used[0].years
+        years = series_list[0].years
         for variable in STATE_VARIABLES:
             chart = polyline_chart(
                 years,
-                [(s.country, getattr(s, variable)) for s in used],
+                [(s.country, getattr(s, variable)) for s in series_list],
                 title=f"{variable} by year",
                 x_label="year",
                 y_label=f"{variable} (%)",
             )
-            _write_file(out, f"economy_{variable}.svg", chart)
-        for series, plane in zip(used, indicators.planes):
+            files.append((out / f"economy_{variable}.svg", chart))
+        for series, plane in zip(series_list, indicators.planes):
             scene = scene_dict(plane, trajectory(series))
-            _write_file(
-                out, f"scene_{plane.country}.json", json.dumps(scene, indent=2) + "\n"
-            )
-    return EXIT_OK
+            files.append((out / f"scene_{plane.country}.json", json.dumps(scene, indent=2) + "\n"))
+    return text, files
 
 
-def _cmd_gen_bumblebee(args) -> int:
+def _cmd_gen_bumblebee(args):
     spec = LineCloudSpec(
         start=args.start, end=args.end, n=args.n, sigma=args.sigma, seed=args.seed
     )
@@ -420,13 +407,12 @@ def _cmd_gen_bumblebee(args) -> int:
     )
     csv_text = format_cloud_csv(labeled, ("x", "y", "z"), label_name="i")
     if args.output is None:
-        sys.stdout.write(csv_text)
-    else:
-        Path(args.output).write_text(csv_text, encoding="utf-8")
-        print(f"wrote {args.output}", file=sys.stderr)
-    return EXIT_OK
+        return csv_text, []
+    return "", [(Path(args.output), csv_text)]
 
 
+#: Each command returns (stdout text, [(path, file content), ...]); main
+#: writes them only after the command has returned without error.
 _COMMANDS = {
     "fit": _cmd_fit,
     "compare": _cmd_compare,
@@ -442,7 +428,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse handles --help (0) and usage errors (2)
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        text, files = _COMMANDS[args.command](args)
+        for path, content in files:
+            _write_file(path, content)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -455,6 +443,8 @@ def main(argv=None) -> int:
     except NumericalFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    sys.stdout.write(text)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

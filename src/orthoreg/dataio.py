@@ -1,7 +1,8 @@
 """CSV ingestion and emission.
 
 Input files are delimiter-separated values with a required header row,
-"." as the decimal separator, UTF-8 encoded. Floats are written with
+"." as the decimal separator, UTF-8 encoded (a leading byte-order mark is
+skipped when reading bytes). Floats are written with
 ``repr``, which round-trips exactly.
 """
 
@@ -21,7 +22,7 @@ INDICATOR_FIELDS = ("country", "year", "unemployment", "gdp_change", "inflation"
 def _text_rows(source, delimiter: str):
     if isinstance(source, bytes):
         try:
-            source = source.decode("utf-8")
+            source = source.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not valid UTF-8: {exc}") from None
     if isinstance(source, str):

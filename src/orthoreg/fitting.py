@@ -149,6 +149,12 @@ def _all_points_identical(cloud: PointCloud) -> bool:
     return bool((cloud.points == cloud.points[0]).all())
 
 
+def _line_distances(points: np.ndarray, anchor: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """Orthogonal distance of each point to the line anchor + t * direction."""
+    b = points - anchor
+    return np.linalg.norm(b - np.outer(b @ direction, direction), axis=1)
+
+
 def fit_line(cloud: PointCloud) -> FittedLine:
     """Fit a line minimizing the sum of squared orthogonal distances.
 
@@ -175,9 +181,7 @@ def fit_line(cloud: PointCloud) -> FittedLine:
     dec = eigen_symmetric(scatter_matrix(cloud))
     direction = dec.eigenvectors[0]
     anchor = centroid(cloud)
-    b = cloud.points - anchor
-    residual = b - np.outer(b @ direction, direction)
-    distances = np.linalg.norm(residual, axis=1)
+    distances = _line_distances(cloud.points, anchor, direction)
     return FittedLine(anchor, direction, ResidualStats.from_distances(distances))
 
 
@@ -252,9 +256,7 @@ def total_orthogonal_error(cloud: PointCloud, model) -> ResidualStats:
     if isinstance(model, FittedLine):
         if cloud.dim != model.dim:
             raise InvalidInputError("cloud and line dimensions differ")
-        b = cloud.points - model.anchor
-        residual = b - np.outer(b @ model.direction, model.direction)
-        distances = np.linalg.norm(residual, axis=1)
+        distances = _line_distances(cloud.points, model.anchor, model.direction)
     elif isinstance(model, FittedHyperplane):
         if cloud.dim != model.dim:
             raise InvalidInputError("cloud and hyperplane dimensions differ")

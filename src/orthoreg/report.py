@@ -33,17 +33,14 @@ from .regression import ComparisonReport
 
 @dataclass
 class FitRequest:
-    """Everything one fit run needs: data source, geometry, and output wishes."""
+    """Everything one fit needs: data source, columns, geometry and error metric."""
 
     input: str  # a CSV path, or "builtin:v4"
     geometry: str  # "line" | "plane"
     columns: tuple | None = None
     label_column: str | None = None
-    output_format: str = "json"
-    emit_plot: bool = False
     error_metric: str = DEFAULT_ERROR_METRIC
     country: str | None = None  # required with the builtin dataset
-    projection: tuple[int, int] | None = None
     delimiter: str = ","
 
 

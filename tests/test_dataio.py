@@ -35,6 +35,10 @@ class TestParseCloudCsv:
         cloud = parse_cloud_csv(SAMPLE.encode("utf-8"), columns=("u", "g"))
         assert len(cloud) == 2
 
+    def test_bytes_with_byte_order_mark(self):
+        cloud = parse_cloud_csv(b"\xef\xbb\xbf" + SAMPLE.encode("utf-8"), columns=("year", "u"))
+        assert (cloud.points[0] == [1994.0, 13.7]).all()
+
     def test_header_only(self):
         with pytest.raises(InvalidInputError):
             parse_cloud_csv("year,u,g,i\n", columns=("u",))

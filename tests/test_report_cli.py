@@ -205,6 +205,22 @@ class TestCliContract:
             assert abs(float(normal @ corner) + offset) < 1e-9
         assert len(scene["points"]) == 7
 
+    def test_output_file_parents_created(self, tmp_path, capsys):
+        out = tmp_path / "new" / "bee.csv"
+        argv = ["gen-bumblebee", "--start", "0,0,0", "--end", "1,1,1", "--n", "3",
+                "--output", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text(encoding="utf-8").startswith("i,x,y,z\n")
+
+    def test_byte_order_mark_header(self, tmp_path, capsys):
+        data_file = tmp_path / "excel.csv"
+        data_file.write_bytes(b"\xef\xbb\xbf" + FIVE_CSV.encode("utf-8"))
+        assert main(["fit", "--input", str(data_file), "--geometry", "line",
+                     "--columns", "x,y"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["model"]["anchor"] == [4.0, 5.0]
+
 
 class TestCliExitCodes:
     def test_usage_missing_subcommand(self, capsys):
@@ -264,3 +280,34 @@ class TestCliExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+class TestCliAllOrNothing:
+    """A failing command leaves stdout empty and writes no file or directory."""
+
+    def test_fit_plot_without_projection(self, tmp_path, capsys):
+        out = tmp_path / "plots"
+        argv = ["fit", "--input", "builtin:v4", "--country", "SK", "--geometry", "plane",
+                "--plot", "--output-dir", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    def test_economy_plot_with_mixed_years(self, tmp_path, capsys):
+        assert main(["economy", "--dump-data"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        data_file = tmp_path / "mixed.csv"
+        data_file.write_text("\n".join(rows[:-1]) + "\n", encoding="utf-8")  # SK loses 2000
+        out = tmp_path / "plots"
+        argv = ["economy", "--data", str(data_file), "--plot", "--output-dir", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    def test_write_failure_is_2(self, tmp_path, five_csv, capsys):
+        blocker = tmp_path / "not_a_dir"
+        blocker.write_text("", encoding="utf-8")
+        assert main(["compare", "--input", five_csv, "--plot", "--output-dir", str(blocker)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: cannot write {blocker / 'compare.svg'}:" in captured.err

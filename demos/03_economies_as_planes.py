@@ -51,11 +51,9 @@ for ep in indicators.planes:
 
 out = Path("demo_output")
 out.mkdir(exist_ok=True)
-years = series[0].years
 for variable in STATE_VARIABLES:
     chart = polyline_chart(
-        years,
-        [(s.country, getattr(s, variable)) for s in series],
+        [(s.country, s.years, getattr(s, variable)) for s in series],
         title=f"{variable} by year",
         x_label="year",
         y_label=f"{variable} (%)",

@@ -54,7 +54,6 @@ from .fitting import (
     DEFAULT_ERROR_METRIC,
     FittedHyperplane,
     FittedLine,
-    PointCloud,
     fit_hyperplane,
     fit_line,
 )
@@ -381,11 +380,9 @@ def _cmd_economy(args):
     files = []
     if args.plot:
         out = _output_dir(args)
-        years = series_list[0].years
         for variable in STATE_VARIABLES:
             chart = polyline_chart(
-                years,
-                [(s.country, getattr(s, variable)) for s in series_list],
+                [(s.country, s.years, getattr(s, variable)) for s in series_list],
                 title=f"{variable} by year",
                 x_label="year",
                 y_label=f"{variable} (%)",
@@ -402,10 +399,7 @@ def _cmd_gen_bumblebee(args):
         start=args.start, end=args.end, n=args.n, sigma=args.sigma, seed=args.seed
     )
     sample = generate_line_cloud(spec)
-    labeled = PointCloud(
-        sample.cloud.points, labels=tuple(str(i) for i in range(args.n))
-    )
-    csv_text = format_cloud_csv(labeled, ("x", "y", "z"), label_name="i")
+    csv_text = format_cloud_csv(sample.cloud, ("x", "y", "z"), label_name="i")
     if args.output is None:
         return csv_text, []
     return "", [(Path(args.output), csv_text)]

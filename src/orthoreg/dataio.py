@@ -1,9 +1,18 @@
 """CSV ingestion and emission.
 
 Input files are delimiter-separated values with a required header row,
-"." as the decimal separator, UTF-8 encoded (a leading byte-order mark is
-skipped when reading bytes). Floats are written with
-``repr``, which round-trips exactly.
+"." as the decimal separator, UTF-8 encoded. Text, bytes and file objects
+are read alike: one leading byte-order mark is dropped, and CRLF and bare CR
+line ends read as LF (universal newlines). Floats are written with ``repr``,
+which round-trips exactly.
+
+``parse_cloud_csv`` first parses the data rows with one ``np.loadtxt`` call.
+It keeps that result only when the input has no quote character, no line
+longer than the csv module's field limit, exactly one parsed row per
+non-empty data line and only finite values; its floats are then bit-identical
+to ``float()`` on each cell. Any other input goes through the row-by-row
+parser, which alone raises the ``ParseError``/``SchemaError`` messages, so
+they are the same whichever path ran first.
 """
 
 from __future__ import annotations
@@ -12,6 +21,8 @@ import csv
 import io
 import math
 
+import numpy as np
+
 from .economy import IndicatorSeries
 from .errors import InvalidInputError, ParseError, SchemaError
 from .fitting import PointCloud
@@ -19,16 +30,29 @@ from .fitting import PointCloud
 INDICATOR_FIELDS = ("country", "year", "unemployment", "gdp_change", "inflation")
 
 
-def _text_rows(source, delimiter: str):
+def _source_text(source) -> str:
+    """The input as one str: bytes decoded as UTF-8, file objects read, one
+    leading byte-order mark dropped, CRLF and bare CR turned into LF."""
+    if not isinstance(source, (str, bytes)):
+        source = source.read()
     if isinstance(source, bytes):
         try:
-            source = source.decode("utf-8-sig")
+            source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not valid UTF-8: {exc}") from None
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    rows = [row for row in csv.reader(source, delimiter=delimiter) if row]
-    return rows
+    if source.startswith("\ufeff"):
+        source = source[1:]
+    if "\r" in source:
+        source = source.replace("\r\n", "\n").replace("\r", "\n")
+    return source
+
+
+def _text_rows(text: str, delimiter: str):
+    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    try:
+        return [row for row in reader if row]
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
 
 
 def _resolve_column(name_or_index, header: list[str]) -> int:
@@ -58,6 +82,20 @@ def _cell_float(row, idx: int, row_number: int, name: str) -> float:
     return value
 
 
+def _select_columns(header: list[str], columns, label_column):
+    """(coordinate indices, their names, label index or None) in ``header``."""
+    label_idx = None
+    if label_column is not None:
+        label_idx = _resolve_column(label_column, header)
+    if columns is None:
+        indices = [i for i in range(len(header)) if i != label_idx]
+    else:
+        indices = [_resolve_column(c, header) for c in columns]
+    if not indices:
+        raise InvalidInputError("no coordinate columns selected")
+    return indices, [header[i] for i in indices], label_idx
+
+
 def parse_cloud_csv(source, columns=None, label_column=None, delimiter: str = ",") -> PointCloud:
     """Read a point cloud from CSV text, bytes, or a text file object.
 
@@ -66,26 +104,58 @@ def parse_cloud_csv(source, columns=None, label_column=None, delimiter: str = ",
     non-numeric selected cell aborts the parse with the offending row and
     column named.
     """
-    rows = _text_rows(source, delimiter)
+    text = _source_text(source)
+    cloud = _parse_cloud_bulk(text, columns, label_column, delimiter)
+    if cloud is None:
+        cloud = _parse_cloud_rows(text, columns, label_column, delimiter)
+    return cloud
+
+
+def _parse_cloud_bulk(text: str, columns, label_column, delimiter: str):
+    """The cloud from one ``np.loadtxt`` call, or None where it may differ.
+
+    Without a quote character every csv row is its line split at the
+    delimiter, so the header, the labels and the row count can be taken from
+    the lines. None means: let ``_parse_cloud_rows`` parse the input or name
+    its error.
+    """
+    if len(delimiter) != 1 or delimiter in '"\n' or '"' in text:
+        return None
+    lines = [line for line in text.split("\n") if line]  # csv skips empty lines
+    if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        header = [h.strip() for h in lines[0].split(delimiter)]
+        indices, _, label_idx = _select_columns(header, columns, label_column)
+    except (SchemaError, InvalidInputError):
+        return None
+    try:
+        values = np.loadtxt(
+            lines, delimiter=delimiter, comments=None, skiprows=1, usecols=indices, ndmin=2
+        )
+    except ValueError:
+        return None
+    if values.shape[0] != len(lines) - 1 or not np.isfinite(values).all():
+        return None
+    labels = None
+    if label_idx is not None:
+        try:
+            labels = tuple(line.split(delimiter)[label_idx].strip() for line in lines[1:])
+        except IndexError:
+            return None
+    return PointCloud(values, labels=labels)
+
+
+def _parse_cloud_rows(text: str, columns, label_column, delimiter: str) -> PointCloud:
+    """Row-by-row parse of ``_source_text`` output; names the row of any error."""
+    rows = _text_rows(text, delimiter)
     if not rows:
         raise InvalidInputError("empty input: a header row is required")
     header = [h.strip() for h in rows[0]]
     data = rows[1:]
     if not data:
         raise InvalidInputError("no data rows after the header")
-
-    label_idx = None
-    if label_column is not None:
-        label_idx = _resolve_column(label_column, header)
-
-    if columns is None:
-        indices = [i for i in range(len(header)) if i != label_idx]
-        names = [header[i] for i in indices]
-    else:
-        indices = [_resolve_column(c, header) for c in columns]
-        names = [header[i] for i in indices]
-    if not indices:
-        raise InvalidInputError("no coordinate columns selected")
+    indices, names, label_idx = _select_columns(header, columns, label_column)
 
     points = []
     labels = [] if label_idx is not None else None
@@ -104,21 +174,23 @@ def parse_cloud_csv(source, columns=None, label_column=None, delimiter: str = ",
 
 
 def format_cloud_csv(cloud: PointCloud, column_names, label_name=None) -> str:
-    """Write a cloud as CSV with full-precision floats."""
+    """Write a cloud as CSV with full-precision floats.
+
+    With ``label_name`` the first column holds the cloud's labels, or the
+    point indices when it has none.
+    """
     column_names = list(column_names)
     if len(column_names) != cloud.dim:
         raise InvalidInputError("one column name per coordinate is required")
+    columns = [map(float.__repr__, column) for column in cloud.points.T.tolist()]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     if label_name is not None:
         writer.writerow([label_name, *column_names])
-        labels = cloud.labels or tuple(str(i) for i in range(len(cloud)))
-        for label, point in zip(labels, cloud.points):
-            writer.writerow([label, *[repr(float(v)) for v in point]])
+        writer.writerows(zip(cloud.labels or map(str, range(len(cloud))), *columns))
     else:
         writer.writerow(column_names)
-        for point in cloud.points:
-            writer.writerow([repr(float(v)) for v in point])
+        writer.writerows(zip(*columns))
     return out.getvalue()
 
 
@@ -139,7 +211,7 @@ def parse_indicator_csv(source, delimiter: str = ",") -> list[IndicatorSeries]:
     Rows are grouped by country in order of first appearance; within a
     country, years must already be strictly increasing.
     """
-    rows = _text_rows(source, delimiter)
+    rows = _text_rows(_source_text(source), delimiter)
     if not rows:
         raise InvalidInputError("empty input: a header row is required")
     header = [h.strip() for h in rows[0]]

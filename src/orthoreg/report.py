@@ -13,6 +13,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -68,7 +69,7 @@ def build_fit_report(cloud: PointCloud, model, metric: str, metadata: dict) -> F
     return FitReport(
         model=model,
         err=model.error.metric(metric),
-        per_point=tuple(zip(labels, (float(d) for d in distances))),
+        per_point=tuple(zip(labels, distances.tolist())),
         metadata={**metadata, "metric": metric, "version": __version__},
         cloud=cloud,
     )
@@ -104,14 +105,20 @@ def _residuals_dict(stats: ResidualStats) -> dict:
     }
 
 
-def report_to_dict(report: FitReport) -> dict:
+def _report_dict(report: FitReport, per_point: list) -> dict:
     return {
         "model": _model_dict(report.model),
         "err": report.err,
         "residuals": _residuals_dict(report.model.error),
-        "per_point": [{"label": lab, "distance": d} for lab, d in report.per_point],
+        "per_point": per_point,
         "metadata": dict(report.metadata),
     }
+
+
+def report_to_dict(report: FitReport) -> dict:
+    return _report_dict(
+        report, [{"label": lab, "distance": d} for lab, d in report.per_point]
+    )
 
 
 def report_from_dict(data: dict) -> FitReport:
@@ -145,12 +152,9 @@ def _to_json(data: dict) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
-def _kv_csv(pairs) -> str:
+def _kv_rows(pairs) -> str:
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    for key, value in pairs:
-        writer.writerow([key, value])
+    csv.writer(out, lineterminator="\n").writerows(pairs)
     return out.getvalue()
 
 
@@ -168,9 +172,56 @@ def _flatten(prefix: str, data, pairs: list) -> None:
 
 
 def _to_kv_csv(data: dict) -> str:
-    pairs: list = []
+    pairs: list = [("key", "value")]
     _flatten("", data, pairs)
-    return _kv_csv(pairs)
+    return _kv_rows(pairs)
+
+
+#: The per-point items as json.dumps(..., indent=2) writes them inside the
+#: report, and as rows of the flattened key/value csv.
+_JSON_POINT = '    {{\n      "label": {},\n      "distance": {}\n    }}'
+_CSV_POINT = "per_point.{0}.label,{1}\nper_point.{0}.distance,{2}\n"
+#: json.dumps' spelling of the non-finite floats (allow_nan=True).
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _per_point_columns(report: FitReport) -> tuple[list, list]:
+    """The labels, and the distances as ``repr`` strings."""
+    labels = [label for label, _ in report.per_point]
+    distances = list(map(float.__repr__, [d for _, d in report.per_point]))
+    return labels, distances
+
+
+def _fit_json(report: FitReport) -> str:
+    """``_to_json(report_to_dict(report))``, with the points joined directly."""
+    text = _to_json(_report_dict(report, []))
+    if not report.per_point:
+        return text
+    # The first match is the key: a quote inside a JSON string is escaped.
+    head, _, tail = text.partition('"per_point": []')
+    labels, distances = _per_point_columns(report)
+    items = map(
+        _JSON_POINT.format,
+        map(encode_basestring_ascii, labels),
+        map(_JSON_NON_FINITE.get, distances, distances),
+    )
+    return "".join((head, '"per_point": [\n', ",\n".join(items), "\n  ]", tail))
+
+
+def _fit_kv_csv(report: FitReport) -> str:
+    """``_to_kv_csv(report_to_dict(report))``, with the points joined directly."""
+    labels, distances = _per_point_columns(report)
+    joined = "".join(labels)
+    if any(c in joined for c in ',"\r\n'):  # a label csv.writer may quote
+        return _to_kv_csv(report_to_dict(report))
+    data = _report_dict(report, [])
+    metadata = data.pop("metadata")  # the rows after the points
+    head: list = [("key", "value")]
+    _flatten("", data, head)
+    tail: list = []
+    _flatten("metadata", metadata, tail)
+    points = map(_CSV_POINT.format, range(len(labels)), labels, distances)
+    return "".join((_kv_rows(head), "".join(points), _kv_rows(tail)))
 
 
 def _f4(value) -> str:
@@ -183,9 +234,9 @@ def _vec4(v) -> str:
 
 def render_fit(report: FitReport, output_format: str) -> str:
     if output_format == "json":
-        return _to_json(report_to_dict(report))
+        return _fit_json(report)
     if output_format == "csv":
-        return _to_kv_csv(report_to_dict(report))
+        return _fit_kv_csv(report)
     if output_format == "text":
         lines = []
         model = report.model
@@ -201,8 +252,7 @@ def render_fit(report: FitReport, output_format: str) -> str:
         metric = report.metadata.get("metric", DEFAULT_ERROR_METRIC)
         lines.append(f"err ({metric}): {_f4(report.err)}")
         lines.append("per-point distances:")
-        for label, d in report.per_point:
-            lines.append(f"  {label:>8}  {_f4(d)}")
+        lines.extend(f"  {label:>8}  {d:.4f}" for label, d in report.per_point)
         return "\n".join(lines) + "\n"
     raise InvalidInputError(f"unknown output format {output_format!r}")
 

@@ -209,21 +209,30 @@ def scatter_chart(points, lines=(), title: str = "", x_label: str = "", y_label:
     return "\n".join(parts) + "\n"
 
 
-def polyline_chart(x_values, series, title: str = "", x_label: str = "", y_label: str = "") -> str:
-    """Time-series chart: one polyline per (name, values) entry in ``series``."""
-    xs = np.asarray(x_values, dtype=float)
-    series = [(name, np.asarray(vals, dtype=float)) for name, vals in series]
-    if xs.ndim != 1 or xs.shape[0] < 1 or not series:
-        raise InvalidInputError("polyline_chart needs x values and at least one series")
-    for name, vals in series:
-        if vals.shape != xs.shape:
-            raise InvalidInputError(f"series {name!r} length differs from x values")
-    all_y = np.concatenate([vals for _, vals in series])
-    frame = _Frame.around(xs, all_y)
+def polyline_chart(series, title: str = "", x_label: str = "", y_label: str = "") -> str:
+    """Time-series chart: one polyline per (name, x values, y values) entry.
+
+    Each series is drawn at its own x values; the frame covers all of them.
+    """
+    series = [
+        (name, np.asarray(xs, dtype=float), np.asarray(vals, dtype=float))
+        for name, xs, vals in series
+    ]
+    if not series:
+        raise InvalidInputError("polyline_chart needs at least one series")
+    for name, xs, vals in series:
+        if xs.ndim != 1 or xs.shape[0] < 1 or vals.shape != xs.shape:
+            raise InvalidInputError(
+                f"series {name!r} needs one y value per x value and at least one point"
+            )
+    frame = _Frame.around(
+        np.concatenate([xs for _, xs, _ in series]),
+        np.concatenate([vals for _, _, vals in series]),
+    )
     parts = _header(title)
     parts += _axes(frame, x_label, y_label)
     legend = []
-    for i, (name, vals) in enumerate(series):
+    for i, (name, xs, vals) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
         coords = " ".join(f"{_fmt(frame.px(x))},{_fmt(frame.py(y))}" for x, y in zip(xs, vals))
         parts.append(

@@ -1,12 +1,19 @@
+import csv
+import io
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthoreg import InvalidInputError, ParseError, SchemaError, v4_dataset
+from orthoreg import dataio
 from orthoreg.dataio import (
     format_cloud_csv,
     format_indicator_csv,
     parse_cloud_csv,
     parse_indicator_csv,
 )
+from orthoreg.errors import OrthoregError
 from orthoreg.fitting import PointCloud
 
 SAMPLE = "year,u,g,i\n1994,13.7,4.8,13.4\n1995,13.1,6.7,9.9\n"
@@ -39,6 +46,23 @@ class TestParseCloudCsv:
         cloud = parse_cloud_csv(b"\xef\xbb\xbf" + SAMPLE.encode("utf-8"), columns=("year", "u"))
         assert (cloud.points[0] == [1994.0, 13.7]).all()
 
+    def test_str_with_byte_order_mark(self):
+        cloud = parse_cloud_csv("\ufeff" + SAMPLE, columns=("year", "u"))
+        assert (cloud.points[0] == [1994.0, 13.7]).all()
+        series = parse_indicator_csv("\ufeff" + format_indicator_csv(v4_dataset()))
+        assert series == v4_dataset()
+
+    @pytest.mark.parametrize("line_end", ["\r\n", "\r"])
+    def test_crlf_and_bare_cr_line_ends(self, line_end):
+        cloud = parse_cloud_csv(f"x,y{line_end}1,2{line_end}3,4{line_end}")
+        assert (cloud.points == [[1.0, 2.0], [3.0, 4.0]]).all()
+
+    def test_csv_reader_error_is_parse_error(self):
+        # The stray quote opens a field that swallows every later row.
+        text = 'x,y\n1,"2\n' + "3.25,4.5\n" * 30_000
+        with pytest.raises(ParseError, match="field larger than field limit"):
+            parse_cloud_csv(text, columns=("x", "y"))
+
     def test_header_only(self):
         with pytest.raises(InvalidInputError):
             parse_cloud_csv("year,u,g,i\n", columns=("u",))
@@ -70,6 +94,133 @@ class TestParseCloudCsv:
         text = "x;y\n1.5;2.5\n"
         cloud = parse_cloud_csv(text, delimiter=";")
         assert (cloud.points == [[1.5, 2.5]]).all()
+
+
+def _outcome(parse, *args):
+    """What a parse gives: the points' bits and the labels, or the error."""
+    try:
+        cloud = parse(*args)
+    except OrthoregError as exc:
+        return type(exc), str(exc)
+    return cloud.points.shape, cloud.points.tobytes(), cloud.labels
+
+
+_CLEAN_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.builds(lambda m, e: f"{m:.{e % 20}e}", st.floats(-1e3, 1e3), st.integers(-330, 330)),
+    st.integers(-10**6, 10**6).map(str),
+)
+_ODD_CELLS = st.sampled_from(
+    ["nan", "inf", "-inf", "1e999", "1_0", "#", "# 1", "", " ", " 2.5 ", '"1.5"', '"a,b"',
+     "abc", "0x10", "+.5", "5.", "\u0661", "1\t"]
+)
+_LABEL_CELLS = st.text(alphabet="ab1 é", max_size=3) | st.sampled_from(
+    ['"a,b"', '"a;b"', '"q"', '"x\ty"']
+)
+
+
+@st.composite
+def _cloud_csv_inputs(draw):
+    """CSV sources with the arguments for parse_cloud_csv, often clean, often not."""
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    header = ["x", "y", "z"][: draw(st.integers(1, 3))]
+    label_at = draw(st.none() | st.integers(0, len(header)))
+    if label_at is not None:
+        header.insert(label_at, "name")
+    dirty = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        row = [
+            draw(_LABEL_CELLS) if name == "name"
+            else draw(_ODD_CELLS if dirty and draw(st.booleans()) else _CLEAN_CELLS)
+            for name in header
+        ]
+        if dirty and draw(st.booleans()):  # ragged row
+            row = row[: draw(st.integers(0, len(row)))] + draw(st.lists(_CLEAN_CELLS, max_size=2))
+        rows.append(delimiter.join(row))
+    lines = [delimiter.join(header)] + rows
+    if draw(st.booleans()):
+        lines = [line + delimiter for line in lines]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+    line_end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = line_end.join(lines) + draw(st.sampled_from(["", line_end]))
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    source = text.encode("utf-8") if draw(st.booleans()) else text
+
+    names = header + ["w"]  # "w" is never in the header
+    column = st.sampled_from(names) | st.integers(0, len(header)) | st.integers(0, 3).map(str)
+    columns = draw(st.none() | st.lists(column, min_size=1, max_size=3).map(tuple))
+    label_column = draw(st.none() | column)
+    return source, columns, label_column, delimiter
+
+
+class TestBulkParseMatchesRowParse:
+    """parse_cloud_csv against the row-by-row parser it falls back to."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_cloud_csv_inputs())
+    def test_same_points_labels_or_error(self, args):
+        source, columns, label_column, delimiter = args
+        reference = _outcome(
+            dataio._parse_cloud_rows, dataio._source_text(source), columns, label_column,
+            delimiter,
+        )
+        assert _outcome(parse_cloud_csv, source, columns, label_column, delimiter) == reference
+
+    def test_field_over_the_csv_limit_is_an_error(self):
+        text = "x,name\n1," + "a" * (csv.field_size_limit() + 1) + "\n"
+        with pytest.raises(ParseError, match="field larger than field limit"):
+            parse_cloud_csv(text, label_column="name")
+
+    @pytest.mark.parametrize(
+        "columns, label_column",
+        [(None, "name"), (("z", "x"), None), (("2", 0), "name"), (None, "3")],
+    )
+    def test_clean_input_takes_the_bulk_path(self, columns, label_column):
+        text = "x,y,z,name\n" + "".join(f"{i / 7!r},{-i}e3, {i}.5 ,p{i} \n" for i in range(50))
+        bulk = dataio._parse_cloud_bulk(text, columns, label_column, ",")
+        assert bulk is not None
+        reference = dataio._parse_cloud_rows(text, columns, label_column, ",")
+        assert bulk.points.tobytes() == reference.points.tobytes()
+        assert bulk.labels == reference.labels
+
+
+def _format_reference(cloud, column_names, label_name=None):
+    """format_cloud_csv as one csv.writer row per point."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    if label_name is not None:
+        writer.writerow([label_name, *column_names])
+        labels = cloud.labels or tuple(str(i) for i in range(len(cloud)))
+        for label, point in zip(labels, cloud.points):
+            writer.writerow([label, *[repr(float(v)) for v in point]])
+    else:
+        writer.writerow(column_names)
+        for point in cloud.points:
+            writer.writerow([repr(float(v)) for v in point])
+    return out.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda dim: st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=dim, max_size=dim),
+            min_size=1, max_size=6,
+        )
+    ),
+    st.booleans(),
+    st.none() | st.sampled_from(["i", "a,b", 'q"'])
+)
+def test_format_cloud_csv_matches_row_writer(points, labeled, label_name):
+    labels = tuple(f'p,"{i}"\n' if i % 2 else f"p{i}" for i in range(len(points)))
+    cloud = PointCloud(points, labels=labels if labeled else None)
+    names = ["x", "y z", "w,"][: cloud.dim]
+    assert format_cloud_csv(cloud, names, label_name) == _format_reference(
+        cloud, names, label_name
+    )
 
 
 class TestCloudCsvRoundTrip:

@@ -1,20 +1,29 @@
+import csv
+import dataclasses
+import io
 import json
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orthoreg import InvalidInputError, ResidualStats, v4_dataset
+from orthoreg import InvalidInputError, PointCloud, ResidualStats, v4_dataset
 from orthoreg.cli import emit_plot_svg, main, run_compare, run_fit
-from orthoreg.dataio import parse_indicator_csv
+from orthoreg.dataio import format_indicator_csv, parse_indicator_csv
+from orthoreg.economy import STATE_VARIABLES
 from orthoreg.errors import NumericalFailureError
+from orthoreg.fitting import fit_hyperplane, fit_line
 from orthoreg.report import (
     FitRequest,
+    _flatten,
+    build_fit_report,
     render_fit,
     report_from_dict,
     report_to_dict,
 )
-from orthoreg.svg import scatter_chart
+from orthoreg.svg import PALETTE, scatter_chart
 
 FIVE_CSV = "x,y\n1,4\n3,2\n4,6\n5,8\n7,5\n"
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -86,6 +95,51 @@ class TestReportSerialization:
             )
             stats = ResidualStats.from_distances([d for _, d in report.per_point])
             assert abs(stats.metric(metric) - report.err) <= 1e-12 * (1.0 + report.err)
+
+
+def _kv_csv_reference(data):
+    """A report dict flattened to key/value pairs, one csv.writer row each."""
+    pairs = []
+    _flatten("", data, pairs)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["key", "value"])
+    for key, value in pairs:
+        writer.writerow([key, value])
+    return out.getvalue()
+
+
+_LABELS = st.text(alphabet=st.sampled_from(list('ab1 ,"\n\r\x00é€😀'))) | st.text()
+
+
+class TestFitRenderMatchesDictRender:
+    """render_fit's json and csv against json.dumps and _flatten of report_to_dict."""
+
+    @staticmethod
+    def assert_renders_match(report):
+        data = report_to_dict(report)
+        assert render_fit(report, "json") == json.dumps(data, indent=2) + "\n"
+        assert render_fit(report, "csv") == _kv_csv_reference(data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_LABELS, min_size=3, max_size=8), st.sampled_from(["line", "plane"]))
+    def test_any_labels(self, labels, geometry):
+        rng = np.random.default_rng(len(labels))
+        cloud = PointCloud(rng.standard_normal((len(labels), 3)), labels=labels)
+        model = fit_line(cloud) if geometry == "line" else fit_hyperplane(cloud)
+        metadata = {"input": 'a "per_point": [] b', "columns": None, "geometry": geometry}
+        self.assert_renders_match(build_fit_report(cloud, model, "rms", metadata))
+
+    def test_index_labels(self, five_csv):
+        self.assert_renders_match(run_fit(FitRequest(input=five_csv, geometry="line")))
+
+    def test_non_finite_distances(self, five_csv):
+        data = report_to_dict(run_fit(FitRequest(input=five_csv, geometry="line")))
+        for point, d in zip(data["per_point"], [float("inf"), float("nan"), -float("inf")]):
+            point["distance"] = d
+        report = report_from_dict(data)
+        self.assert_renders_match(report)
+        assert '"distance": NaN' in render_fit(report, "json")
 
 
 class TestSvg:
@@ -213,6 +267,55 @@ class TestCliContract:
         assert capsys.readouterr().out == ""
         assert out.read_text(encoding="utf-8").startswith("i,x,y,z\n")
 
+    @staticmethod
+    def economy_plot_years(tmp_path, capsys, series):
+        """Run economy --data --plot on ``series``; read every plotted point's year back.
+
+        Returns {variable: {country: [year, ...]}}, with the years recovered
+        from each point's x pixel through the chart's own x-axis ticks.
+        """
+        data_file = tmp_path / "data.csv"
+        data_file.write_text(format_indicator_csv(series), encoding="utf-8")
+        out = tmp_path / "plots"
+        assert main(["economy", "--data", str(data_file), "--plot", "--output-dir", str(out)]) == 0
+        capsys.readouterr()
+        years = {}
+        for variable in STATE_VARIABLES:
+            svg = (out / f"economy_{variable}.svg").read_text(encoding="utf-8")
+            ticks = [
+                (float(el.get("x")), float(el.text))
+                for el in svg_elements(svg, "text", "axis")
+                if el.get("text-anchor") == "middle"
+            ]
+            (px0, x0), (px1, x1) = ticks[0], ticks[-1]
+            by_color = {}
+            for el in svg_elements(svg, "circle", "series-point"):
+                year = x0 + (float(el.get("cx")) - px0) * (x1 - x0) / (px1 - px0)
+                by_color.setdefault(el.get("fill"), []).append(year)
+            years[variable] = {s.country: by_color[PALETTE[i]] for i, s in enumerate(series)}
+        return years
+
+    def test_economy_plot_shifted_years(self, tmp_path, capsys):
+        series = v4_dataset()
+        sk = series[3]
+        assert sk.country == "SK"
+        series[3] = dataclasses.replace(sk, years=tuple(y - 4 for y in sk.years))  # 1990-1996
+        for by_country in self.economy_plot_years(tmp_path, capsys, series).values():
+            for s in series:
+                assert by_country[s.country] == pytest.approx(s.years, abs=0.01)
+
+    def test_economy_plot_mixed_counts(self, tmp_path, capsys):
+        series = v4_dataset()
+        sk = series[3]
+        assert sk.country == "SK"
+        series[3] = dataclasses.replace(  # SK loses 2000
+            sk, years=sk.years[:-1], unemployment=sk.unemployment[:-1],
+            gdp_change=sk.gdp_change[:-1], inflation=sk.inflation[:-1],
+        )
+        for by_country in self.economy_plot_years(tmp_path, capsys, series).values():
+            for s in series:
+                assert by_country[s.country] == pytest.approx(s.years, abs=0.01)
+
     def test_byte_order_mark_header(self, tmp_path, capsys):
         data_file = tmp_path / "excel.csv"
         data_file.write_bytes(b"\xef\xbb\xbf" + FIVE_CSV.encode("utf-8"))
@@ -277,6 +380,14 @@ class TestCliExitCodes:
         assert main(["fit", "--input", five_csv, "--geometry", "line"]) == 5
         capsys.readouterr()
 
+    def test_csv_reader_error_is_3(self, tmp_path, capsys):
+        f = tmp_path / "stray_quote.csv"
+        f.write_text('x,y\n1,"2\n' + "3.25,4.5\n" * 30_000, encoding="utf-8")
+        assert main(["fit", "--input", str(f), "--geometry", "line"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "field larger than field limit" in captured.err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
@@ -289,17 +400,6 @@ class TestCliAllOrNothing:
         out = tmp_path / "plots"
         argv = ["fit", "--input", "builtin:v4", "--country", "SK", "--geometry", "plane",
                 "--plot", "--output-dir", str(out)]
-        assert main(argv) == 3
-        assert capsys.readouterr().out == ""
-        assert not out.exists()
-
-    def test_economy_plot_with_mixed_years(self, tmp_path, capsys):
-        assert main(["economy", "--dump-data"]) == 0
-        rows = capsys.readouterr().out.splitlines()
-        data_file = tmp_path / "mixed.csv"
-        data_file.write_text("\n".join(rows[:-1]) + "\n", encoding="utf-8")  # SK loses 2000
-        out = tmp_path / "plots"
-        argv = ["economy", "--data", str(data_file), "--plot", "--output-dir", str(out)]
         assert main(argv) == 3
         assert capsys.readouterr().out == ""
         assert not out.exists()

@@ -14,12 +14,15 @@ or written), 3 parse/schema/invalid-input errors, 4 degenerate geometry,
 announced on stderr so stdout stays machine-readable. Each command builds its
 whole report and every file before anything is written: on success the files
 are written first (parent directories created), then the report. A command
-that fails writes nothing; a file that cannot be written leaves stdout empty.
+that fails writes nothing. Files are written all or none: each goes to a
+temporary sibling, renamed into place once all are written, so a file that
+cannot be written leaves stdout empty and no output file behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -86,6 +89,8 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not valid UTF-8: {exc}") from None
 
 
 def _builtin_series(country: str | None):
@@ -195,13 +200,38 @@ def _output_dir(args) -> Path:
     return Path(args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or ".")
 
 
-def _write_file(path: Path, content: str) -> None:
+def _write_files(files) -> None:
+    """Write every (path, content) or none of them.
+
+    Each file is first written to a temporary sibling in its target
+    directory; only when all are written are they renamed into place, so a
+    failure leaves no target file and no temporary behind.
+    """
+    staged = []
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(content, encoding="utf-8")
+        for path, content in files:
+            # A directory in the way would fail only at its rename, after
+            # the files before it were already in place.
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            path.parent.mkdir(parents=True, exist_ok=True)
+            temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            staged.append((temporary, path))
+            temporary.write_text(content, encoding="utf-8")
+        for temporary, path in staged:
+            os.replace(temporary, path)
     except OSError as exc:
+        for temporary, _ in staged:
+            temporary.unlink(missing_ok=True)
         raise UsageError(f"cannot write {path}: {exc}") from None
-    print(f"wrote {path}", file=sys.stderr)
+    for _, path in staged:
+        print(f"wrote {path}", file=sys.stderr)
+
+
+def _delimiter_arg(text: str) -> str:
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError("delimiter must be a single character")
+    return text
 
 
 def _columns_arg(text: str | None):
@@ -266,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated coordinate columns (names or indices)",
     )
     p_fit.add_argument("--label-column", default=None)
-    p_fit.add_argument("--delimiter", default=",")
+    p_fit.add_argument("--delimiter", type=_delimiter_arg, default=",")
     p_fit.add_argument(
         "--error-metric", choices=ERROR_METRICS, default=DEFAULT_ERROR_METRIC
     )
@@ -285,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="the two coordinate columns (default: first two non-label columns)",
     )
     p_cmp.add_argument("--label-column", default=None)
-    p_cmp.add_argument("--delimiter", default=",")
+    p_cmp.add_argument("--delimiter", type=_delimiter_arg, default=",")
 
     p_eco = sub.add_parser(
         "economy", parents=[common_out],
@@ -423,8 +453,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         text, files = _COMMANDS[args.command](args)
-        for path, content in files:
-            _write_file(path, content)
+        _write_files(files)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,6 +3,15 @@
 Self-contained (no LAPACK): the scatter matrices this package diagonalizes are
 tiny (order 2..5), where Jacobi is accurate, simple, and keeps the working
 matrix exactly symmetric at every step.
+
+The rotations work on Python lists of floats, one scalar at a time. At this
+size a numpy call costs far more in dispatch than in arithmetic: a rotation
+with masked array updates needs about 20 numpy calls on 2..5 elements and
+makes a solve about 4x slower. The scalar form does the same IEEE operations
+in the same order as that array form (kept in the tests as the reference), so
+the eigenpairs are the same to the bit. The convergence test stays a numpy
+reduction over the whole matrix, once per sweep: a Python sum would add in
+another order, and one ulp there can change the number of sweeps.
 """
 
 from __future__ import annotations
@@ -91,10 +100,10 @@ def canonical_sign(v: np.ndarray, tol: float = SIGN_TOLERANCE) -> np.ndarray:
     return v
 
 
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """One Jacobi rotation zeroing a[p,q], keeping ``a`` exactly symmetric."""
-    apq = a[p, q]
-    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+def _rotate(a: list[list[float]], v: list[list[float]], p: int, q: int) -> None:
+    """One Jacobi rotation zeroing a[p][q], keeping ``a`` exactly symmetric."""
+    apq = a[p][q]
+    theta = (a[q][q] - a[p][p]) / (2.0 * apq)
     if abs(theta) < 1e150:
         t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
     else:
@@ -102,26 +111,20 @@ def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
     c = 1.0 / math.sqrt(t * t + 1.0)
     s = t * c
 
-    n = a.shape[0]
-    mask = np.ones(n, dtype=bool)
-    mask[p] = mask[q] = False
+    ap, aq = a[p], a[q]
+    for i, row in enumerate(a):
+        if i != p and i != q:
+            x, y = row[p], row[q]
+            row[p] = ap[i] = c * x - s * y
+            row[q] = aq[i] = s * x + c * y
+    ap[p] -= t * apq
+    aq[q] += t * apq
+    ap[q] = aq[p] = 0.0
 
-    aip = a[mask, p]
-    aiq = a[mask, q]
-    new_p = c * aip - s * aiq
-    new_q = s * aip + c * aiq
-    a[mask, p] = new_p
-    a[p, mask] = new_p
-    a[mask, q] = new_q
-    a[q, mask] = new_q
-    a[p, p] -= t * apq
-    a[q, q] += t * apq
-    a[p, q] = a[q, p] = 0.0
-
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp - s * vq
-    v[:, q] = s * vp + c * vq
+    for row in v:
+        x, y = row[p], row[q]
+        row[p] = c * x - s * y
+        row[q] = s * x + c * y
 
 
 def _off_diagonal_mass(a: np.ndarray) -> float:
@@ -151,29 +154,31 @@ def eigen_symmetric(m) -> EigenDecomposition:
     """
     if not isinstance(m, SymmetricMatrix):
         m = SymmetricMatrix.from_array(m)
-    a = m.entries.copy()
+    start = m.entries.copy()
     n = m.order
-    v = np.eye(n)
-    norm = float(np.sqrt(np.sum(a * a)))
+    norm = float(np.sqrt(np.sum(start * start)))
+    a = start.tolist()
+    v = np.eye(n).tolist()
 
     converged = False
     for _ in range(MAX_SWEEPS):
-        if _off_diagonal_mass(a) <= OFF_DIAGONAL_TOLERANCE * norm:
+        if _off_diagonal_mass(np.array(a)) <= OFF_DIAGONAL_TOLERANCE * norm:
             converged = True
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                if a[p, q] != 0.0:
+                if a[p][q] != 0.0:
                     _rotate(a, v, p, q)
     else:
-        converged = _off_diagonal_mass(a) <= OFF_DIAGONAL_TOLERANCE * norm
+        converged = _off_diagonal_mass(np.array(a)) <= OFF_DIAGONAL_TOLERANCE * norm
     if not converged:
         raise NumericalFailureError(
             f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps"
         )
 
-    values = np.diag(a).copy()
+    values = np.diag(np.array(a))
     order = np.argsort(-values, kind="stable")  # descending, stable on ties
     values = values[order]
-    vectors = np.array([canonical_sign(v[:, j]) for j in order])
+    columns = np.array(v).T
+    vectors = np.array([canonical_sign(columns[j]) for j in order])
     return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)

@@ -141,7 +141,12 @@ def scatter_matrix(cloud: PointCloud) -> SymmetricMatrix:
     No 1/(n-1) factor: normalization rescales eigenvalues uniformly and does
     not move the principal axes.
     """
-    b = cloud.points - centroid(cloud)
+    return _scatter_about(cloud, centroid(cloud))
+
+
+def _scatter_about(cloud: PointCloud, c: np.ndarray) -> SymmetricMatrix:
+    """scatter_matrix with the centroid ``c`` already computed by the caller."""
+    b = cloud.points - c
     return SymmetricMatrix.from_array(b.T @ b, asymmetry_tol=1e-9)
 
 
@@ -178,9 +183,9 @@ def fit_line(cloud: PointCloud) -> FittedLine:
             flat_dim=0,
             flat_point=cloud.points[0].copy(),
         )
-    dec = eigen_symmetric(scatter_matrix(cloud))
-    direction = dec.eigenvectors[0]
     anchor = centroid(cloud)
+    dec = eigen_symmetric(_scatter_about(cloud, anchor))
+    direction = dec.eigenvectors[0]
     distances = _line_distances(cloud.points, anchor, direction)
     return FittedLine(anchor, direction, ResidualStats.from_distances(distances))
 
@@ -205,12 +210,12 @@ def fit_hyperplane(cloud: PointCloud) -> FittedHyperplane:
         raise InvalidInputError(
             f"hyperplane fit in dimension {cloud.dim} needs at least {cloud.dim} points"
         )
-    dec = eigen_symmetric(scatter_matrix(cloud))
+    c = centroid(cloud)
+    dec = eigen_symmetric(_scatter_about(cloud, c))
     values = dec.eigenvalues
     cutoff = values[0] * RANK_TOLERANCE
     rank = int(np.sum(values > cutoff)) if values[0] > 0.0 else 0
     if rank < cloud.dim - 1:
-        c = centroid(cloud)
         raise DegenerateGeometryError(
             f"points span only a {rank}-dimensional flat; "
             f"a hyperplane in dimension {cloud.dim} is not unique",
@@ -219,7 +224,6 @@ def fit_hyperplane(cloud: PointCloud) -> FittedHyperplane:
             flat_basis=dec.eigenvectors[:rank].copy(),
         )
     normal = dec.eigenvectors[-1]
-    c = centroid(cloud)
     offset = -float(normal @ c)
     distances = np.abs((cloud.points - c) @ normal)
     return FittedHyperplane(normal, c, offset, ResidualStats.from_distances(distances))

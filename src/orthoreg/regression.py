@@ -85,6 +85,22 @@ def _moments(x, y):
     return xm, ym, float(dx @ dx), float(dy @ dy), float(dx @ dy)
 
 
+def _y_on_x(x, moments) -> AffineLine2D:
+    if (x == x[0]).all():
+        raise DegenerateGeometryError("xs are constant: no y-on-x line exists")
+    xm, ym, sxx, _, sxy = moments
+    k = sxy / sxx
+    return AffineLine2D(slope=k, intercept=ym - k * xm, orientation=Orientation.Y_ON_X)
+
+
+def _x_on_y(y, moments) -> AffineLine2D:
+    if (y == y[0]).all():
+        raise DegenerateGeometryError("ys are constant: no x-on-y line exists")
+    xm, ym, _, syy, sxy = moments
+    c = sxy / syy
+    return AffineLine2D(slope=c, intercept=xm - c * ym, orientation=Orientation.X_ON_Y)
+
+
 def ols_line(xs, ys) -> AffineLine2D:
     """Least-squares line y = k x + b (squared vertical offsets).
 
@@ -92,21 +108,13 @@ def ols_line(xs, ys) -> AffineLine2D:
     cannot be written as y of x).
     """
     x, y = _clean_xy(xs, ys)
-    if (x == x[0]).all():
-        raise DegenerateGeometryError("xs are constant: no y-on-x line exists")
-    xm, ym, sxx, _, sxy = _moments(x, y)
-    k = sxy / sxx
-    return AffineLine2D(slope=k, intercept=ym - k * xm, orientation=Orientation.Y_ON_X)
+    return _y_on_x(x, _moments(x, y))
 
 
 def conjugate_line(xs, ys) -> AffineLine2D:
     """Least-squares line with the roles swapped: x = c y + d."""
     x, y = _clean_xy(xs, ys)
-    if (y == y[0]).all():
-        raise DegenerateGeometryError("ys are constant: no x-on-y line exists")
-    xm, ym, _, syy, sxy = _moments(x, y)
-    c = sxy / syy
-    return AffineLine2D(slope=c, intercept=xm - c * ym, orientation=Orientation.X_ON_Y)
+    return _x_on_y(y, _moments(x, y))
 
 
 def angle_between_lines_deg(u, v) -> float:
@@ -132,13 +140,15 @@ def compare_ols_tls(xs, ys) -> ComparisonReport:
     x, y = _clean_xy(xs, ys)
     cloud = PointCloud(np.column_stack([x, y]))
     tls = fit_line(cloud)
+    moments = _moments(x, y)
+    xm, ym, _, _, sxy = moments
 
     try:
-        ols = ols_line(x, y)
+        ols = _y_on_x(x, moments)
     except DegenerateGeometryError:
         ols = None
     try:
-        conj = conjugate_line(x, y)
+        conj = _x_on_y(y, moments)
     except DegenerateGeometryError:
         conj = None
 
@@ -149,7 +159,6 @@ def compare_ols_tls(xs, ys) -> ComparisonReport:
         db = b.direction() if isinstance(b, AffineLine2D) else b.direction
         return angle_between_lines_deg(da, db)
 
-    _, _, _, _, sxy = _moments(x, y)
     between = None
     if ols is not None and conj is not None and sxy != 0.0:
         incs = sorted([_inclination_deg(ols.direction()), _inclination_deg(conj.direction())])
@@ -157,7 +166,7 @@ def compare_ols_tls(xs, ys) -> ComparisonReport:
         between = incs[0] - 1e-9 <= tls_inc <= incs[1] + 1e-9
 
     return ComparisonReport(
-        centroid=centroid_of(x, y),
+        centroid=np.array([xm, ym]),
         ols=ols,
         conjugate=conj,
         tls=tls,
@@ -167,10 +176,6 @@ def compare_ols_tls(xs, ys) -> ComparisonReport:
         tls_between_scissors=between,
         cloud=cloud,
     )
-
-
-def centroid_of(x, y) -> np.ndarray:
-    return np.array([float(np.mean(x)), float(np.mean(y))])
 
 
 __all__ = [

@@ -1,6 +1,11 @@
 """Independent oracles and random-geometry helpers shared by the tests."""
 
+import math
+
 import numpy as np
+
+from orthoreg.eigen import MAX_SWEEPS, OFF_DIAGONAL_TOLERANCE, SymmetricMatrix, canonical_sign
+from orthoreg.errors import NumericalFailureError
 
 
 def cofactor_det(m: np.ndarray) -> float:
@@ -48,3 +53,66 @@ def best_candidate_line_sum_sq(points: np.ndarray, rng: np.random.Generator, can
     offsets = points[None, :, :] - anchors[:, None, :]
     dists = np.abs(np.einsum("cpk,ck->cp", offsets, normals))
     return float((dists**2).sum(axis=1).min())
+
+
+def reference_eigen_symmetric(m):
+    """The cyclic Jacobi solver with masked numpy updates: the array form that
+    ``orthoreg.eigen.eigen_symmetric`` computes with Python scalars.
+
+    Kept as the reference: the scalar solver runs the same IEEE operations in
+    the same order, so both must return byte-equal eigenpairs. Returns
+    ``(eigenvalues, eigenvectors)``.
+    """
+    def off_diagonal_mass(a):
+        off = a - np.diag(np.diag(a))
+        return float(np.sqrt(np.sum(off * off)))
+
+    def rotate(a, v, p, q):
+        apq = a[p, q]
+        theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+        if abs(theta) < 1e150:
+            t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+        else:
+            t = 1.0 / (2.0 * theta)
+        c = 1.0 / math.sqrt(t * t + 1.0)
+        s = t * c
+        mask = np.ones(a.shape[0], dtype=bool)
+        mask[p] = mask[q] = False
+        aip = a[mask, p]
+        aiq = a[mask, q]
+        new_p = c * aip - s * aiq
+        new_q = s * aip + c * aiq
+        a[mask, p] = new_p
+        a[p, mask] = new_p
+        a[mask, q] = new_q
+        a[q, mask] = new_q
+        a[p, p] -= t * apq
+        a[q, q] += t * apq
+        a[p, q] = a[q, p] = 0.0
+        vp = v[:, p].copy()
+        vq = v[:, q].copy()
+        v[:, p] = c * vp - s * vq
+        v[:, q] = s * vp + c * vq
+
+    if not isinstance(m, SymmetricMatrix):
+        m = SymmetricMatrix.from_array(m)
+    a = m.entries.copy()
+    n = m.order
+    v = np.eye(n)
+    norm = float(np.sqrt(np.sum(a * a)))
+    # theta overflows to inf when |a[p, q]| is tiny; that is the intended path.
+    with np.errstate(over="ignore"):
+        for _ in range(MAX_SWEEPS):
+            if off_diagonal_mass(a) <= OFF_DIAGONAL_TOLERANCE * norm:
+                break
+            for p in range(n - 1):
+                for q in range(p + 1, n):
+                    if a[p, q] != 0.0:
+                        rotate(a, v, p, q)
+        else:
+            if off_diagonal_mass(a) > OFF_DIAGONAL_TOLERANCE * norm:
+                raise NumericalFailureError("reference Jacobi iteration did not converge")
+    values = np.diag(a).copy()
+    order = np.argsort(-values, kind="stable")
+    vectors = np.array([canonical_sign(v[:, j]) for j in order])
+    return values[order], vectors

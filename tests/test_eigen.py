@@ -13,7 +13,12 @@ from orthoreg import (
 )
 from orthoreg.eigen import canonical_sign
 
-from _helpers import cofactor_det, random_rotation, random_symmetric
+from _helpers import (
+    cofactor_det,
+    random_rotation,
+    random_symmetric,
+    reference_eigen_symmetric,
+)
 
 
 def test_identity_matrix():
@@ -156,3 +161,62 @@ def test_hypothesis_spectrum_properties(order, values):
     assert abs(dec.eigenvalues.sum() - trace) <= 1e-9 * (1.0 + abs(trace))
     rebuilt = dec.eigenvectors.T @ np.diag(dec.eigenvalues) @ dec.eigenvectors
     assert np.abs(rebuilt - m).max() <= 1e-9 * (1.0 + np.abs(m).max())
+
+
+# -- bit identity with the array-form reference solver ---------------------------
+
+_mantissa = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+@st.composite
+def scaled_symmetric(draw):
+    """Order 1..5, each entry a mantissa times 10**e with e in -8..8."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    a = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            a[i, j] = a[j, i] = draw(_mantissa) * 10.0 ** draw(st.integers(-8, 8))
+    return a
+
+
+@st.composite
+def special_symmetric(draw):
+    """Zero, diagonal and all-ones matrices of order 1..5 at scales 1e-8..1e8."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    kind = draw(st.sampled_from(["zero", "diagonal", "ones"]))
+    if kind == "zero":
+        return np.zeros((n, n))
+    if kind == "ones":
+        return np.full((n, n), scale)
+    return np.diag([draw(_mantissa) * scale for _ in range(n)])
+
+
+@st.composite
+def hostile_scatter(draw):
+    """Scatter matrix of a thin, 1e8-offset, near-tied, duplicated or n = d cloud."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(min_value=2, max_value=5))
+    kind = draw(st.sampled_from(["thin", "offset", "tied", "duplicated", "n_eq_d"]))
+    n = dim if kind == "n_eq_d" else draw(st.integers(min_value=dim + 1, max_value=50))
+    spread = np.geomspace(4.0, 0.5, dim)
+    shift = rng.normal(size=dim) * 3.0
+    if kind == "thin":
+        spread[1:] = np.array([0.5, 0.4, 0.3, 1e-6, 5e-7])[-(dim - 1):]
+    elif kind == "offset":
+        shift = rng.choice([-1.0, 1.0], dim) * 1e8
+    elif kind == "tied":
+        spread[1] = spread[0] * (1.0 - 1e-4 * rng.uniform(0.5, 2.0))
+    points = (rng.normal(size=(n, dim)) * spread) @ random_rotation(rng, dim).T + shift
+    if kind == "duplicated":
+        points = points[rng.integers(0, max(dim + 1, n // 3), n)]
+    return scatter_matrix(PointCloud(points))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(scaled_symmetric(), special_symmetric(), hostile_scatter()))
+def test_bit_identical_to_array_reference(m):
+    dec = eigen_symmetric(m)
+    values, vectors = reference_eigen_symmetric(m)
+    assert dec.eigenvalues.tobytes() == values.tobytes()
+    assert dec.eigenvectors.tobytes() == vectors.tobytes()

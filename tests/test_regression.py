@@ -114,6 +114,25 @@ class TestCompare:
         with pytest.raises(DegenerateGeometryError):
             compare_ols_tls([1.0, 1.0], [2.0, 2.0])
 
+    def test_classical_lines_match_standalone_fits(self):
+        # compare_ols_tls computes the moments once; the lines it reports must
+        # be exactly those of ols_line and conjugate_line.
+        rng = np.random.default_rng(61)
+        for _ in range(100):
+            n = int(rng.integers(2, 40))
+            x = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3) + rng.normal() * 1e4
+            y = 0.3 * x + rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+            report = compare_ols_tls(x, y)
+            assert report.ols == ols_line(x, y)
+            assert report.conjugate == conjugate_line(x, y)
+            assert report.centroid.tobytes() == np.array([np.mean(x), np.mean(y)]).tobytes()
+        report = compare_ols_tls([1.0, 1.0, 1.0], [0.0, 1.0, 2.0])
+        assert report.ols is None
+        assert report.conjugate == conjugate_line([1.0, 1.0, 1.0], [0.0, 1.0, 2.0])
+        report = compare_ols_tls([0.0, 1.0, 2.0], [5.0, 5.0, 5.0])
+        assert report.conjugate is None
+        assert report.ols == ols_line([0.0, 1.0, 2.0], [5.0, 5.0, 5.0])
+
 
 class TestProperties:
     def test_centroid_incidence_all_lines(self):

@@ -392,6 +392,25 @@ class TestCliExitCodes:
         assert main(["--help"]) == 0
         capsys.readouterr()
 
+    def test_non_utf8_input_is_3(self, tmp_path, capsys):
+        f = tmp_path / "latin.csv"
+        f.write_bytes(b"x,y\n1,2\n3,\xff5\n")
+        assert main(["fit", "--input", str(f), "--geometry", "line"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not valid UTF-8" in captured.err
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    @pytest.mark.parametrize("delimiter", ["ab", ""])
+    def test_delimiter_not_one_character_is_2(self, five_csv, capsys, command, delimiter):
+        argv = [command, "--input", five_csv, "--delimiter", delimiter]
+        if command == "fit":
+            argv += ["--geometry", "line"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "delimiter must be a single character" in captured.err
+
 
 class TestCliAllOrNothing:
     """A failing command leaves stdout empty and writes no file or directory."""
@@ -411,3 +430,24 @@ class TestCliAllOrNothing:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: cannot write {blocker / 'compare.svg'}:" in captured.err
+
+    def test_write_failure_leaves_no_file(self, tmp_path, capsys):
+        # scene_SK.json is written after the three charts; it cannot be
+        # written, so neither they nor any temporary file may be left.
+        out = tmp_path / "Q"
+        (out / "scene_SK.json").mkdir(parents=True)
+        assert main(["economy", "--plot", "--output-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: cannot write {out / 'scene_SK.json'}:" in captured.err
+        assert [p.name for p in out.iterdir()] == ["scene_SK.json"]
+        assert not any((out / "scene_SK.json").iterdir())
+
+    def test_files_replace_existing(self, tmp_path, five_csv, capsys):
+        out = tmp_path / "plots"
+        out.mkdir()
+        (out / "compare.svg").write_text("stale", encoding="utf-8")
+        assert main(["compare", "--input", five_csv, "--plot", "--output-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert [p.name for p in out.iterdir()] == ["compare.svg"]
+        assert (out / "compare.svg").read_text(encoding="utf-8").startswith("<svg")

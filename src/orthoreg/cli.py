@@ -7,6 +7,11 @@ compare        Classical vs conjugate vs orthogonal line on 2D data.
 economy        Plane-based indicators for the builtin or external economies.
 gen-bumblebee  Write a deterministic noisy-line cloud as CSV.
 
+Each subcommand reads its parsed arguments and calls the public library
+functions directly (for ``fit``: load the cloud, ``fit_line`` or
+``fit_hyperplane``, ``build_fit_report``, ``render_fit``); argparse alone
+checks the choices of a flag.
+
 Exit codes: 0 success, 2 usage errors (including a file that cannot be read
 or written), 3 parse/schema/invalid-input errors, 4 degenerate geometry,
 5 numerical failure. Reports go to stdout; plot and scene files go to
@@ -63,7 +68,6 @@ from .fitting import (
 from .regression import ComparisonReport, compare_ols_tls
 from .report import (
     FitReport,
-    FitRequest,
     build_fit_report,
     render_compare,
     render_economy,
@@ -102,40 +106,11 @@ def _builtin_series(country: str | None):
     raise UsageError(f"unknown country {country!r} (expected CZ, HU, PL, SK)")
 
 
-def _load_cloud(req: FitRequest):
-    """Returns (cloud, provenance metadata)."""
-    if req.input == BUILTIN_V4:
-        series = _builtin_series(req.country)
-        cloud = trajectory(series)
-        meta = {
-            "input": BUILTIN_V4,
-            "country": series.country,
-            "columns": list(STATE_VARIABLES),
-        }
-        return cloud, meta
-    text = _read_text(req.input)
-    cloud = parse_cloud_csv(
-        text, columns=req.columns, label_column=req.label_column, delimiter=req.delimiter
+def _read_cloud(args):
+    return parse_cloud_csv(
+        _read_text(args.input), columns=args.columns,
+        label_column=args.label_column, delimiter=args.delimiter,
     )
-    meta = {
-        "input": req.input,
-        "columns": list(req.columns) if req.columns is not None else None,
-    }
-    return cloud, meta
-
-
-def run_fit(req: FitRequest) -> FitReport:
-    """Fit per the request and wrap the result in a report."""
-    if req.geometry not in ("line", "plane"):
-        raise UsageError(f"unknown geometry {req.geometry!r} (expected line or plane)")
-    if req.error_metric not in ERROR_METRICS:
-        raise UsageError(
-            f"unknown error metric {req.error_metric!r} (expected one of {', '.join(ERROR_METRICS)})"
-        )
-    cloud, meta = _load_cloud(req)
-    model = fit_line(cloud) if req.geometry == "line" else fit_hyperplane(cloud)
-    meta["geometry"] = req.geometry
-    return build_fit_report(cloud, model, req.error_metric, meta)
 
 
 def emit_plot_svg(report, projection: tuple[int, int] | None = None) -> str:
@@ -346,44 +321,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_fit(args):
-    req = FitRequest(
-        input=args.input,
-        geometry=args.geometry,
-        columns=args.columns,
-        label_column=args.label_column,
-        error_metric=args.error_metric,
-        country=args.country,
-        delimiter=args.delimiter,
-    )
-    report = run_fit(req)
+    # The metadata keys and their order are part of the json and csv output.
+    if args.input == BUILTIN_V4:
+        if args.columns is not None or args.label_column is not None:
+            raise UsageError(f"--columns and --label-column do not apply to {BUILTIN_V4}")
+        series = _builtin_series(args.country)
+        cloud = trajectory(series)
+        meta = {"input": BUILTIN_V4, "country": series.country, "columns": list(STATE_VARIABLES)}
+    else:
+        if args.country is not None:
+            raise UsageError(f"--country applies only to {BUILTIN_V4}")
+        cloud = _read_cloud(args)
+        columns = None if args.columns is None else list(args.columns)
+        meta = {"input": args.input, "columns": columns}
+    meta["geometry"] = args.geometry
+    model = fit_line(cloud) if args.geometry == "line" else fit_hyperplane(cloud)
+    report = build_fit_report(cloud, model, args.error_metric, meta)
     text = render_fit(report, args.output_format)
     files = []
     if args.plot:
         svg = emit_plot_svg(report, projection=args.projection)
-        files.append((_output_dir(args) / f"fit_{req.geometry}.svg", svg))
+        files.append((_output_dir(args) / f"fit_{args.geometry}.svg", svg))
     return text, files
 
 
-def run_compare(source_text: str, columns=None, label_column=None, delimiter=","):
-    """Parse 2D data and produce the three-line comparison report."""
-    cloud = parse_cloud_csv(
-        source_text, columns=columns, label_column=label_column, delimiter=delimiter
-    )
+def _cmd_compare(args):
+    if args.columns is not None and len(args.columns) != 2:
+        raise UsageError("compare needs exactly two columns")
+    cloud = _read_cloud(args)
     if cloud.dim != 2:
         raise InvalidInputError(
             f"comparison needs exactly 2 coordinate columns, got {cloud.dim}"
         )
-    return compare_ols_tls(cloud.points[:, 0], cloud.points[:, 1])
-
-
-def _cmd_compare(args):
-    source = _read_text(args.input)
-    columns = args.columns
-    if columns is not None and len(columns) != 2:
-        raise UsageError("compare needs exactly two columns")
-    report = run_compare(
-        source, columns=columns, label_column=args.label_column, delimiter=args.delimiter
-    )
+    report = compare_ols_tls(cloud.points[:, 0], cloud.points[:, 1])
     text = render_compare(report, {"input": args.input}, args.output_format)
     files = []
     if args.plot:

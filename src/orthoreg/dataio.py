@@ -209,7 +209,8 @@ def parse_indicator_csv(source, delimiter: str = ",") -> list[IndicatorSeries]:
     """Read indicator series from the long table schema INDICATOR_FIELDS.
 
     Rows are grouped by country in order of first appearance; within a
-    country, years must already be strictly increasing.
+    country, rows may come in any year order and are returned sorted by
+    year. A year repeated within a country is rejected.
     """
     rows = _text_rows(_source_text(source), delimiter)
     if not rows:

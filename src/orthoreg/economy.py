@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import DegenerateGeometryError, InvalidInputError
 from .fitting import (
     DEFAULT_ERROR_METRIC,
     FittedHyperplane,
@@ -96,7 +96,7 @@ class IndicatorSeries:
                 raise InvalidInputError(f"{field} length must match years")
             values[field] = column
         if len(set(years)) != len(years):
-            raise InvalidInputError("duplicate years in series")
+            raise InvalidInputError(f"{self.country}: duplicate years in series")
         if any(b <= a for a, b in zip(years, years[1:])):
             order = sorted(range(len(years)), key=years.__getitem__)
             years = tuple(years[i] for i in order)
@@ -159,11 +159,18 @@ def trajectory(series: IndicatorSeries) -> PointCloud:
 
 
 def economy_plane(series: IndicatorSeries, metric: str = DEFAULT_ERROR_METRIC) -> EconomyPlane:
-    """Fit the state-space plane of one economy."""
+    """Fit the state-space plane of one economy; errors name the country."""
     if len(series) < 3:
-        raise InvalidInputError("need at least 3 years to fit an economy plane")
+        raise InvalidInputError(
+            f"{series.country}: need at least 3 years to fit an economy plane"
+        )
     cloud = trajectory(series)
-    plane = fit_hyperplane(cloud)
+    try:
+        plane = fit_hyperplane(cloud)
+    except DegenerateGeometryError as exc:
+        raise DegenerateGeometryError(
+            f"{series.country}: {exc}", exc.flat_dim, exc.flat_point, exc.flat_basis
+        ) from None
     distances = plane.error.per_point_distance
     yearly = {year: float(d) for year, d in zip(series.years, distances)}
     return EconomyPlane(

@@ -32,19 +32,6 @@ from .fitting import (
 from .regression import ComparisonReport
 
 
-@dataclass
-class FitRequest:
-    """Everything one fit needs: data source, columns, geometry and error metric."""
-
-    input: str  # a CSV path, or "builtin:v4"
-    geometry: str  # "line" | "plane"
-    columns: tuple | None = None
-    label_column: str | None = None
-    error_metric: str = DEFAULT_ERROR_METRIC
-    country: str | None = None  # required with the builtin dataset
-    delimiter: str = ","
-
-
 @dataclass(frozen=True)
 class FitReport:
     """Result of one fit: the model, the reported error, labeled distances.
@@ -438,7 +425,6 @@ def scene_dict(plane: EconomyPlane, cloud: PointCloud) -> dict:
 
 
 __all__ = [
-    "FitRequest",
     "FitReport",
     "build_fit_report",
     "report_to_dict",

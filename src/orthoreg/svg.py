@@ -29,12 +29,26 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _span(lo: float, hi: float) -> tuple[float, float]:
+    """[lo, hi] widened to a range that can be drawn and ticked.
+
+    An empty range is widened by 1 on each side; any range is then widened
+    to at least 64 ulps at its magnitude, so that no tick step is lost in
+    rounding (1e17 - 1 and 1e17 + 1 both round to 1e17).
+    """
+    if hi <= lo:
+        lo, hi = lo - 1.0, hi + 1.0
+    width = 64.0 * math.ulp(max(abs(lo), abs(hi)))
+    if hi - lo < width:
+        lo, hi = lo - width / 2.0, hi + width / 2.0
+    return lo, hi
+
+
 def nice_ticks(lo: float, hi: float, target: int = 6):
     """Tick positions covering [lo, hi] on the 1-2-5 ladder, plus label decimals."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidInputError("tick bounds must be finite")
-    if hi <= lo:
-        lo, hi = lo - 1.0, hi + 1.0
+    lo, hi = _span(lo, hi)
     raw = (hi - lo) / target
     magnitude = 10.0 ** math.floor(math.log10(raw))
     step = 10.0 * magnitude
@@ -56,12 +70,8 @@ class _Frame:
     """Maps data coordinates into the fixed plot rectangle (y axis flipped)."""
 
     def __init__(self, x_lo, x_hi, y_lo, y_hi):
-        if x_hi <= x_lo:
-            x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-        if y_hi <= y_lo:
-            y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
-        self.x_lo, self.x_hi = x_lo, x_hi
-        self.y_lo, self.y_hi = y_lo, y_hi
+        self.x_lo, self.x_hi = _span(x_lo, x_hi)
+        self.y_lo, self.y_hi = _span(y_lo, y_hi)
         self.px_lo = MARGIN_L
         self.px_hi = CANVAS_W - MARGIN_R
         self.py_lo = CANVAS_H - MARGIN_B

@@ -258,3 +258,14 @@ class TestIndicatorCsv:
         series = parse_indicator_csv(text)
         assert [s.country for s in series] == ["B", "A"]
         assert series[0].years == (2000, 2001)
+
+    def test_unsorted_years_come_back_sorted(self):
+        text = (
+            "country,year,unemployment,gdp_change,inflation\n"
+            "A,2002,3,30,0.3\nA,2000,1,10,0.1\nA,2001,2,20,0.2\n"
+        )
+        (series,) = parse_indicator_csv(text)
+        assert series.years == (2000, 2001, 2002)
+        assert series.unemployment == (1.0, 2.0, 3.0)
+        assert series.gdp_change == (10.0, 20.0, 30.0)
+        assert series.inflation == (0.1, 0.2, 0.3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from orthoreg import (
+    DegenerateGeometryError,
     EconomyPlane,
     FittedHyperplane,
     IndicatorSeries,
@@ -116,6 +117,16 @@ class TestEconomyPlane:
         short = IndicatorSeries("XX", (1990, 1991), (1.0, 2.0), (1.0, 2.0), (1.0, 2.0))
         with pytest.raises(InvalidInputError):
             economy_plane(short)
+
+    def test_collinear_years_keep_the_flat(self):
+        line = IndicatorSeries("XX", (1990, 1991, 1992), (1.0, 2.0, 3.0), (2.0, 4.0, 6.0),
+                               (3.0, 6.0, 9.0))
+        with pytest.raises(DegenerateGeometryError, match="^XX: points span only a 1-dim") as info:
+            economy_plane(line)
+        assert info.value.flat_dim == 1
+        assert (info.value.flat_point == [2.0, 4.0, 6.0]).all()
+        assert same_up_to_sign(info.value.flat_basis[0], np.array([1.0, 2.0, 3.0]) / math.sqrt(14),
+                               1e-12)
 
     def test_year_order_independence_is_bitwise(self):
         s = series_by_code()["SK"]

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -10,20 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthoreg import InvalidInputError, PointCloud, ResidualStats, v4_dataset
-from orthoreg.cli import emit_plot_svg, main, run_compare, run_fit
-from orthoreg.dataio import format_indicator_csv, parse_indicator_csv
-from orthoreg.economy import STATE_VARIABLES
+from orthoreg.cli import emit_plot_svg, main
+from orthoreg.dataio import format_indicator_csv, parse_cloud_csv, parse_indicator_csv
+from orthoreg.economy import STATE_VARIABLES, trajectory
 from orthoreg.errors import NumericalFailureError
 from orthoreg.fitting import fit_hyperplane, fit_line
+from orthoreg.regression import compare_ols_tls
 from orthoreg.report import (
-    FitRequest,
     _flatten,
     build_fit_report,
     render_fit,
     report_from_dict,
     report_to_dict,
 )
-from orthoreg.svg import PALETTE, scatter_chart
+from orthoreg.svg import PALETTE, nice_ticks, scatter_chart
 
 FIVE_CSV = "x,y\n1,4\n3,2\n4,6\n5,8\n7,5\n"
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -36,6 +37,30 @@ def five_csv(tmp_path):
     return str(path)
 
 
+def v4_report(country, geometry, metric="sum_abs"):
+    """The report ``fit --input builtin:v4`` prints, from library calls."""
+    (series,) = [s for s in v4_dataset() if s.country == country]
+    cloud = trajectory(series)
+    model = fit_line(cloud) if geometry == "line" else fit_hyperplane(cloud)
+    metadata = {"input": "builtin:v4", "country": country, "columns": list(STATE_VARIABLES),
+                "geometry": geometry}
+    return build_fit_report(cloud, model, metric, metadata)
+
+
+def csv_report(path, geometry, metric="sum_abs"):
+    """The report ``fit --input path`` prints, from library calls."""
+    with open(path, encoding="utf-8") as f:
+        cloud = parse_cloud_csv(f.read())
+    model = fit_line(cloud) if geometry == "line" else fit_hyperplane(cloud)
+    metadata = {"input": path, "columns": None, "geometry": geometry}
+    return build_fit_report(cloud, model, metric, metadata)
+
+
+def five_comparison():
+    cloud = parse_cloud_csv(FIVE_CSV)
+    return compare_ols_tls(cloud.points[:, 0], cloud.points[:, 1])
+
+
 def svg_elements(svg_text, tag, cls):
     root = ET.fromstring(svg_text)
     return [el for el in root.iter(f"{SVG_NS}{tag}") if el.get("class") == cls]
@@ -43,26 +68,23 @@ def svg_elements(svg_text, tag, cls):
 
 class TestRunFit:
     def test_builtin_plane(self):
-        req = FitRequest(input="builtin:v4", geometry="plane", country="SK")
-        report = run_fit(req)
+        report = v4_report("SK", "plane")
         assert abs(report.err - 4.2633) < 1e-3
         assert report.metadata["country"] == "SK"
         assert report.per_point[0][0] == "1994"
 
     def test_csv_line(self, five_csv):
-        report = run_fit(FitRequest(input=five_csv, geometry="line"))
+        report = csv_report(five_csv, "line")
         assert (report.model.anchor == [4.0, 5.0]).all()
 
     def test_metric_selector(self, five_csv):
-        report = run_fit(
-            FitRequest(input=five_csv, geometry="line", error_metric="sum_sq")
-        )
+        report = csv_report(five_csv, "line", "sum_sq")
         assert report.err == pytest.approx(11.0, abs=1e-9)
 
 
 class TestReportSerialization:
     def test_json_round_trip_exact(self, five_csv):
-        report = run_fit(FitRequest(input=five_csv, geometry="line"))
+        report = csv_report(five_csv, "line")
         data = json.loads(json.dumps(report_to_dict(report)))
         back = report_from_dict(data)
         assert (back.model.anchor == report.model.anchor).all()
@@ -72,27 +94,25 @@ class TestReportSerialization:
         assert back.model.error.sum_sq == report.model.error.sum_sq
 
     def test_plane_round_trip_exact(self):
-        report = run_fit(FitRequest(input="builtin:v4", geometry="plane", country="PL"))
+        report = v4_report("PL", "plane")
         data = json.loads(json.dumps(report_to_dict(report)))
         back = report_from_dict(data)
         assert (back.model.normal == report.model.normal).all()
         assert back.model.offset == report.model.offset
 
     def test_renders_are_deterministic(self, five_csv):
-        report = run_fit(FitRequest(input=five_csv, geometry="line"))
+        report = csv_report(five_csv, "line")
         for fmt in ("json", "csv", "text"):
             assert render_fit(report, fmt) == render_fit(report, fmt)
 
     def test_text_rounds_to_four_decimals(self, five_csv):
-        report = run_fit(FitRequest(input=five_csv, geometry="line"))
+        report = csv_report(five_csv, "line")
         text = render_fit(report, "text")
         assert "0.7071" in text  # direction component of the diagonal line
 
     def test_err_recomputable_from_per_point(self, five_csv):
         for metric in ("sum_sq", "root_sum_sq", "rms", "sum_abs"):
-            report = run_fit(
-                FitRequest(input=five_csv, geometry="line", error_metric=metric)
-            )
+            report = csv_report(five_csv, "line", metric)
             stats = ResidualStats.from_distances([d for _, d in report.per_point])
             assert abs(stats.metric(metric) - report.err) <= 1e-12 * (1.0 + report.err)
 
@@ -131,10 +151,10 @@ class TestFitRenderMatchesDictRender:
         self.assert_renders_match(build_fit_report(cloud, model, "rms", metadata))
 
     def test_index_labels(self, five_csv):
-        self.assert_renders_match(run_fit(FitRequest(input=five_csv, geometry="line")))
+        self.assert_renders_match(csv_report(five_csv, "line"))
 
     def test_non_finite_distances(self, five_csv):
-        data = report_to_dict(run_fit(FitRequest(input=five_csv, geometry="line")))
+        data = report_to_dict(csv_report(five_csv, "line"))
         for point, d in zip(data["per_point"], [float("inf"), float("nan"), -float("inf")]):
             point["distance"] = d
         report = report_from_dict(data)
@@ -144,36 +164,91 @@ class TestFitRenderMatchesDictRender:
 
 class TestSvg:
     def test_comparison_chart_element_counts(self):
-        report = run_compare(FIVE_CSV)
+        report = five_comparison()
         svg = emit_plot_svg(report)
         assert len(svg_elements(svg, "circle", "point")) == 5
         assert len(svg_elements(svg, "line", "fit-line")) == 3
 
     def test_byte_identical_for_identical_input(self):
-        a = emit_plot_svg(run_compare(FIVE_CSV))
-        b = emit_plot_svg(run_compare(FIVE_CSV))
+        a = emit_plot_svg(five_comparison())
+        b = emit_plot_svg(five_comparison())
         assert a == b
 
     def test_2d_plane_fit_draws_line(self, five_csv):
-        report = run_fit(FitRequest(input=five_csv, geometry="plane"))
+        report = csv_report(five_csv, "plane")
         svg = emit_plot_svg(report)
         assert len(svg_elements(svg, "line", "fit-line")) == 1
 
     def test_3d_needs_projection(self):
-        report = run_fit(FitRequest(input="builtin:v4", geometry="plane", country="SK"))
+        report = v4_report("SK", "plane")
         with pytest.raises(InvalidInputError):
             emit_plot_svg(report)
         svg = emit_plot_svg(report, projection=(0, 2))
         assert len(svg_elements(svg, "circle", "point")) == 7
 
     def test_bad_projection_rejected(self):
-        report = run_fit(FitRequest(input="builtin:v4", geometry="line", country="SK"))
+        report = v4_report("SK", "line")
         with pytest.raises(InvalidInputError):
             emit_plot_svg(report, projection=(0, 7))
 
     def test_no_points_rejected(self):
         with pytest.raises(InvalidInputError):
             scatter_chart(np.empty((0, 2)))
+
+
+@st.composite
+def tick_bounds(draw):
+    """(lo, hi) with lo <= hi: any two floats, or a float and one a few ulps above it."""
+    lo = draw(st.floats(min_value=-1e300, max_value=1e300))
+    if draw(st.booleans()):
+        hi = draw(st.floats(min_value=-1e300, max_value=1e300))
+    else:
+        hi = lo
+        for _ in range(draw(st.integers(0, 100))):
+            hi = math.nextafter(hi, math.inf)
+    return min(lo, hi), max(lo, hi)
+
+
+@settings(max_examples=500, deadline=None)
+@given(tick_bounds())
+def test_nice_ticks_are_few_and_increasing(bounds):
+    ticks, _ = nice_ticks(*bounds)
+    assert len(ticks) <= 7
+    assert all(a < b for a, b in zip(ticks, ticks[1:]))
+
+
+def axis_ticks(svg_text, anchor):
+    """The values of the axis labels: anchor "middle" for x, "end" for y."""
+    return [float(el.text) for el in svg_elements(svg_text, "text", "axis")
+            if el.get("text-anchor") == anchor]
+
+
+class TestLargeCoordinatePlots:
+    """Coordinates of 1e17 (nanosecond timestamps), where one ulp is 16."""
+
+    def test_compare_x_one_ulp_wide(self, tmp_path, capsys):
+        # x spans one ulp: a tick step below half an ulp never advanced.
+        data = tmp_path / "ns.csv"
+        data.write_text("t,y\n100000000000000000,1\n100000000000000016,2\n"
+                        "100000000000000000,3\n", encoding="utf-8")
+        argv = ["compare", "--input", str(data), "--plot", "--output-dir", str(tmp_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        ticks = axis_ticks((tmp_path / "compare.svg").read_text(encoding="utf-8"), "middle")
+        assert 2 <= len(ticks) <= 7
+        assert all(a < b for a, b in zip(ticks, ticks[1:]))
+
+    def test_fit_constant_large_y(self, tmp_path, capsys):
+        # y = 1e17 stays a zero-width range after widening by 1 on each side.
+        data = tmp_path / "flat.csv"
+        data.write_text("x,y\n5,1e17\n6,1e17\n7,1e17\n", encoding="utf-8")
+        argv = ["fit", "--input", str(data), "--geometry", "line", "--plot",
+                "--output-dir", str(tmp_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        ticks = axis_ticks((tmp_path / "fit_line.svg").read_text(encoding="utf-8"), "end")
+        assert 2 <= len(ticks) <= 7
+        assert all(a < b for a, b in zip(ticks, ticks[1:]))
 
 
 class TestCliContract:
@@ -316,6 +391,19 @@ class TestCliContract:
             for s in series:
                 assert by_country[s.country] == pytest.approx(s.years, abs=0.01)
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize("source", ["builtin", "csv"])
+    def test_fit_stdout_is_the_library_report(self, five_csv, capsys, source, fmt):
+        # Pins the metadata keys and their order, which main builds itself.
+        if source == "builtin":
+            argv = ["--input", "builtin:v4", "--country", "sk", "--geometry", "plane"]
+            report = v4_report("SK", "plane")
+        else:
+            argv = ["--input", five_csv, "--geometry", "line"]
+            report = csv_report(five_csv, "line")
+        assert main(["fit", *argv, "--format", fmt]) == 0
+        assert capsys.readouterr().out == render_fit(report, fmt)
+
     def test_byte_order_mark_header(self, tmp_path, capsys):
         data_file = tmp_path / "excel.csv"
         data_file.write_bytes(b"\xef\xbb\xbf" + FIVE_CSV.encode("utf-8"))
@@ -342,6 +430,39 @@ class TestCliExitCodes:
         assert main(["fit", "--input", "builtin:v4", "--country", "XX",
                      "--geometry", "plane"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flags", [
+        ["--input", "FIVE", "--geometry", "line", "--country", "SK"],
+        ["--input", "builtin:v4", "--country", "SK", "--geometry", "plane", "--columns", "a,b"],
+        ["--input", "builtin:v4", "--country", "SK", "--geometry", "plane",
+         "--label-column", "zz"],
+        ["--input", "builtin:v4", "--country", "SK", "--geometry", "plane",
+         "--columns", "a,b", "--label-column", "zz"],
+    ], ids=["csv-country", "builtin-columns", "builtin-label-column", "builtin-both"])
+    def test_usage_flags_the_input_ignores(self, five_csv, capsys, flags):
+        argv = ["fit", *[five_csv if f == "FIVE" else f for f in flags]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "builtin:v4" in captured.err
+
+    @pytest.mark.parametrize("rows, code, message", [
+        ("SK,1994,1,2,3\nSK,1995,2,1,4\n", 3,
+         "SK: need at least 3 years to fit an economy plane"),
+        ("SK,1994,1,2,3\nSK,1995,2,4,6\nSK,1996,3,6,9\n", 4,
+         "SK: points span only a 1-dimensional flat"),
+        ("SK,1994,1,2,3\nSK,1994,2,1,4\nSK,1995,3,3,3\n", 3,
+         "SK: duplicate years in series"),
+    ], ids=["two-years", "collinear-years", "repeated-year"])
+    def test_economy_data_errors_name_the_country(self, tmp_path, capsys, rows, code, message):
+        data = tmp_path / "indicators.csv"
+        data.write_text("country,year,unemployment,gdp_change,inflation\n"
+                        "CZ,1994,1,2,3\nCZ,1995,2,1,4\nCZ,1996,5,5,1\n" + rows,
+                        encoding="utf-8")
+        assert main(["economy", "--data", str(data)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
 
     def test_usage_missing_file(self, capsys):
         assert main(["fit", "--input", "/no/such/file.csv", "--geometry", "line"]) == 2

@@ -109,7 +109,7 @@ def _builtin_series(country: str | None):
 def _read_cloud(args):
     return parse_cloud_csv(
         _read_text(args.input), columns=args.columns,
-        label_column=args.label_column, delimiter=args.delimiter,
+        label_column=args.label_column, delimiter=args.delimiter or ",",
     )
 
 
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated coordinate columns (names or indices)",
     )
     p_fit.add_argument("--label-column", default=None)
-    p_fit.add_argument("--delimiter", type=_delimiter_arg, default=",")
+    p_fit.add_argument("--delimiter", type=_delimiter_arg, default=None, help="default ,")
     p_fit.add_argument(
         "--error-metric", choices=ERROR_METRICS, default=DEFAULT_ERROR_METRIC
     )
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="the two coordinate columns (default: first two non-label columns)",
     )
     p_cmp.add_argument("--label-column", default=None)
-    p_cmp.add_argument("--delimiter", type=_delimiter_arg, default=",")
+    p_cmp.add_argument("--delimiter", type=_delimiter_arg, default=None, help="default ,")
 
     p_eco = sub.add_parser(
         "economy", parents=[common_out],
@@ -323,8 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_fit(args):
     # The metadata keys and their order are part of the json and csv output.
     if args.input == BUILTIN_V4:
-        if args.columns is not None or args.label_column is not None:
-            raise UsageError(f"--columns and --label-column do not apply to {BUILTIN_V4}")
+        if (args.columns, args.label_column, args.delimiter) != (None, None, None):
+            raise UsageError(
+                f"--columns, --label-column and --delimiter do not apply to {BUILTIN_V4}"
+            )
         series = _builtin_series(args.country)
         cloud = trajectory(series)
         meta = {"input": BUILTIN_V4, "country": series.country, "columns": list(STATE_VARIABLES)}

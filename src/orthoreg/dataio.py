@@ -13,6 +13,10 @@ non-empty data line and only finite values; its floats are then bit-identical
 to ``float()`` on each cell. Any other input goes through the row-by-row
 parser, which alone raises the ``ParseError``/``SchemaError`` messages, so
 they are the same whichever path ran first.
+
+``parse_indicator_csv`` reads its table through ``parse_cloud_csv`` too, then
+checks the country codes and years: a missing or non-numeric cell in any row
+is reported before an empty country code or a non-integer year in an earlier row.
 """
 
 from __future__ import annotations
@@ -208,55 +212,25 @@ def format_indicator_csv(series_list) -> str:
 def parse_indicator_csv(source, delimiter: str = ",") -> list[IndicatorSeries]:
     """Read indicator series from the long table schema INDICATOR_FIELDS.
 
+    The table is read by ``parse_cloud_csv`` with the country column as
+    labels, so it gets a cloud's errors, and the order of errors the module
+    docstring gives.
+
     Rows are grouped by country in order of first appearance; within a
     country, rows may come in any year order and are returned sorted by
     year. A year repeated within a country is rejected.
     """
-    rows = _text_rows(_source_text(source), delimiter)
-    if not rows:
-        raise InvalidInputError("empty input: a header row is required")
-    header = [h.strip() for h in rows[0]]
-    indices = {name: _resolve_column(name, header) for name in INDICATOR_FIELDS}
-    data = rows[1:]
-    if not data:
-        raise InvalidInputError("no data rows after the header")
-
-    order: list[str] = []
-    grouped: dict[str, list[tuple[int, float, float, float]]] = {}
-    for offset, row in enumerate(data):
-        row_number = offset + 2
-        if indices["country"] >= len(row):
-            raise ParseError(f"row {row_number}: missing value for column 'country'")
-        country = row[indices["country"]].strip()
+    cloud = parse_cloud_csv(
+        source, columns=INDICATOR_FIELDS[1:], label_column="country", delimiter=delimiter
+    )
+    grouped: dict[str, list[list[float]]] = {}
+    for row_number, (country, record) in enumerate(zip(cloud.labels, cloud.points.tolist()), 2):
         if not country:
             raise ParseError(f"row {row_number}: empty country code")
-        year_value = _cell_float(row, indices["year"], row_number, "year")
-        if year_value != int(year_value):
+        if record[0] != int(record[0]):
             raise ParseError(f"row {row_number}, column 'year': not an integer")
-        record = (
-            int(year_value),
-            _cell_float(row, indices["unemployment"], row_number, "unemployment"),
-            _cell_float(row, indices["gdp_change"], row_number, "gdp_change"),
-            _cell_float(row, indices["inflation"], row_number, "inflation"),
-        )
-        if country not in grouped:
-            order.append(country)
-            grouped[country] = []
-        grouped[country].append(record)
-
-    series = []
-    for country in order:
-        records = grouped[country]
-        series.append(
-            IndicatorSeries(
-                country=country,
-                years=tuple(r[0] for r in records),
-                unemployment=tuple(r[1] for r in records),
-                gdp_change=tuple(r[2] for r in records),
-                inflation=tuple(r[3] for r in records),
-            )
-        )
-    return series
+        grouped.setdefault(country, []).append(record)
+    return [IndicatorSeries(country, *zip(*records)) for country, records in grouped.items()]
 
 
 __all__ = [

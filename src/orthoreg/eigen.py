@@ -148,13 +148,18 @@ def eigen_symmetric(m) -> EigenDecomposition:
     Raises
     ------
     InvalidInputError
-        Non-finite entries or asymmetry beyond tolerance.
+        Non-finite entries, asymmetry beyond tolerance, or an eigenvalue
+        beyond the float range (entries near the largest float).
     NumericalFailureError
         No convergence within MAX_SWEEPS sweeps (not observed in practice).
     """
     if not isinstance(m, SymmetricMatrix):
         m = SymmetricMatrix.from_array(m)
-    start = m.entries.copy()
+    # Jacobi commutes exactly with a power-of-two scaling, and scaling the
+    # largest entry into [0.5, 1) keeps the squares in the norm and in the
+    # convergence test from overflowing or underflowing.
+    _, exponent = math.frexp(float(np.abs(m.entries).max()))
+    start = np.ldexp(m.entries, -exponent)
     n = m.order
     norm = float(np.sqrt(np.sum(start * start)))
     a = start.tolist()
@@ -176,7 +181,10 @@ def eigen_symmetric(m) -> EigenDecomposition:
             f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps"
         )
 
-    values = np.diag(np.array(a))
+    try:
+        values = np.array([math.ldexp(a[i][i], exponent) for i in range(n)])
+    except OverflowError:
+        raise InvalidInputError("eigenvalues overflow the float range") from None
     order = np.argsort(-values, kind="stable")  # descending, stable on ties
     values = values[order]
     columns = np.array(v).T

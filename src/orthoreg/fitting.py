@@ -11,6 +11,7 @@ motions of the data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,8 +146,20 @@ def scatter_matrix(cloud: PointCloud) -> SymmetricMatrix:
 
 
 def _scatter_about(cloud: PointCloud, c: np.ndarray) -> SymmetricMatrix:
-    """scatter_matrix with the centroid ``c`` already computed by the caller."""
+    """scatter_matrix with the centroid ``c`` already computed by the caller.
+
+    The spread of the points, their largest |p - c|, must lie in
+    [2**-511, 2**511 / sqrt(n * dim)]: below it the squares leave the normal
+    float range, above it the trace overflows. Outside it InvalidInputError
+    is raised; a spread of 0 (identical points) is allowed.
+    """
     b = cloud.points - c
+    spread = max(float(b.max()), -float(b.min()))
+    if spread and not 2.0**-511 <= spread <= 2.0**511 / math.sqrt(b.size):
+        raise InvalidInputError(
+            f"points spread {spread:.3g} about their centroid; a scatter matrix "
+            "needs a spread between about 1e-153 and 1e153"
+        )
     return SymmetricMatrix.from_array(b.T @ b, asymmetry_tol=1e-9)
 
 
@@ -160,6 +173,13 @@ def _line_distances(points: np.ndarray, anchor: np.ndarray, direction: np.ndarra
     return np.linalg.norm(b - np.outer(b @ direction, direction), axis=1)
 
 
+def _plane_distances(points: np.ndarray, c: np.ndarray, normal: np.ndarray) -> np.ndarray:
+    """Orthogonal distance of each point to the hyperplane through ``c`` with
+    unit ``normal``. Taken about ``c``, as ``normal . p + offset`` cancels
+    when the points lie far from the origin."""
+    return np.abs((points - c) @ normal)
+
+
 def fit_line(cloud: PointCloud) -> FittedLine:
     """Fit a line minimizing the sum of squared orthogonal distances.
 
@@ -169,7 +189,8 @@ def fit_line(cloud: PointCloud) -> FittedLine:
     Raises
     ------
     InvalidInputError
-        Fewer than 2 points, or dim < 2.
+        Fewer than 2 points, dim < 2, or a spread the scatter matrix cannot
+        represent (see ``_scatter_about``).
     DegenerateGeometryError
         All points identical (no direction is distinguished).
     """
@@ -199,7 +220,8 @@ def fit_hyperplane(cloud: PointCloud) -> FittedHyperplane:
     Raises
     ------
     InvalidInputError
-        Fewer than ``dim`` points, or dim < 2.
+        Fewer than ``dim`` points, dim < 2, or a spread the scatter matrix
+        cannot represent (see ``_scatter_about``).
     DegenerateGeometryError
         The points span a flat of dimension < dim-1, so infinitely many
         hyperplanes contain them; the spanned flat is reported on the error.
@@ -225,7 +247,7 @@ def fit_hyperplane(cloud: PointCloud) -> FittedHyperplane:
         )
     normal = dec.eigenvectors[-1]
     offset = -float(normal @ c)
-    distances = np.abs((cloud.points - c) @ normal)
+    distances = _plane_distances(cloud.points, c, normal)
     return FittedHyperplane(normal, c, offset, ResidualStats.from_distances(distances))
 
 
@@ -246,9 +268,9 @@ def distance_point_to_line(p, line: FittedLine) -> float:
 
 
 def distance_point_to_plane(p, plane: FittedHyperplane) -> float:
-    """Shortest distance from a point to a fitted hyperplane: |normal.p + offset|."""
+    """Shortest distance from a point to a fitted hyperplane: |normal.(p - centroid)|."""
     p = _check_dim(p, plane.dim, "distance_point_to_plane")
-    return float(abs(plane.normal @ p + plane.offset))
+    return float(_plane_distances(p, plane.centroid, plane.normal))
 
 
 def total_orthogonal_error(cloud: PointCloud, model) -> ResidualStats:
@@ -264,7 +286,7 @@ def total_orthogonal_error(cloud: PointCloud, model) -> ResidualStats:
     elif isinstance(model, FittedHyperplane):
         if cloud.dim != model.dim:
             raise InvalidInputError("cloud and hyperplane dimensions differ")
-        distances = np.abs(cloud.points @ model.normal + model.offset)
+        distances = _plane_distances(cloud.points, model.centroid, model.normal)
     else:
         raise InvalidInputError("model must be a FittedLine or FittedHyperplane")
     return ResidualStats.from_distances(distances)

@@ -1,9 +1,13 @@
 """Independent oracles and random-geometry helpers shared by the tests."""
 
+import csv
+import io
 import math
 
 import numpy as np
 
+from orthoreg.dataio import INDICATOR_FIELDS
+from orthoreg.economy import IndicatorSeries
 from orthoreg.eigen import MAX_SWEEPS, OFF_DIAGONAL_TOLERANCE, SymmetricMatrix, canonical_sign
 from orthoreg.errors import NumericalFailureError
 
@@ -55,6 +59,19 @@ def best_candidate_line_sum_sq(points: np.ndarray, rng: np.random.Generator, can
     return float((dists**2).sum(axis=1).min())
 
 
+def reference_parse_indicator_csv(text: str, delimiter: str = ",") -> list[IndicatorSeries]:
+    """Indicator series of a valid long table, read with ``csv.reader`` and
+    ``float`` per cell and grouped by country in order of first appearance."""
+    rows = [row for row in csv.reader(io.StringIO(text), delimiter=delimiter) if row]
+    header = [name.strip() for name in rows[0]]
+    at = [header.index(name) for name in INDICATOR_FIELDS]
+    grouped = {}
+    for row in rows[1:]:
+        country, year, *values = (row[i].strip() for i in at)
+        grouped.setdefault(country, []).append((int(float(year)), *map(float, values)))
+    return [IndicatorSeries(country, *zip(*records)) for country, records in grouped.items()]
+
+
 def reference_eigen_symmetric(m):
     """The cyclic Jacobi solver with masked numpy updates: the array form that
     ``orthoreg.eigen.eigen_symmetric`` computes with Python scalars.
@@ -96,7 +113,9 @@ def reference_eigen_symmetric(m):
 
     if not isinstance(m, SymmetricMatrix):
         m = SymmetricMatrix.from_array(m)
-    a = m.entries.copy()
+    # The same power-of-two normalisation as the solver: largest entry in [0.5, 1).
+    exponent = math.frexp(float(np.abs(m.entries).max()))[1]
+    a = np.ldexp(m.entries, -exponent)
     n = m.order
     v = np.eye(n)
     norm = float(np.sqrt(np.sum(a * a)))
@@ -112,7 +131,7 @@ def reference_eigen_symmetric(m):
         else:
             if off_diagonal_mass(a) > OFF_DIAGONAL_TOLERANCE * norm:
                 raise NumericalFailureError("reference Jacobi iteration did not converge")
-    values = np.diag(a).copy()
+    values = np.ldexp(np.diag(a), exponent)
     order = np.argsort(-values, kind="stable")
     vectors = np.array([canonical_sign(v[:, j]) for j in order])
     return values[order], vectors

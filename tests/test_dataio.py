@@ -16,6 +16,8 @@ from orthoreg.dataio import (
 from orthoreg.errors import OrthoregError
 from orthoreg.fitting import PointCloud
 
+from _helpers import reference_parse_indicator_csv
+
 SAMPLE = "year,u,g,i\n1994,13.7,4.8,13.4\n1995,13.1,6.7,9.9\n"
 
 
@@ -269,3 +271,136 @@ class TestIndicatorCsv:
         assert series.unemployment == (1.0, 2.0, 3.0)
         assert series.gdp_change == (10.0, 20.0, 30.0)
         assert series.inflation == (0.1, 0.2, 0.3)
+
+
+_H = "country,year,unemployment,gdp_change,inflation\n"
+
+#: Indicator tables that each break one rule, with what parse_indicator_csv
+#: gives: (country, years, unemployment, gdp_change, inflation) per series,
+#: or the error type and message.
+HOSTILE_INDICATOR_TABLES = {
+    "missing-country-column": (
+        "year,unemployment,gdp_change,inflation\n1995,1,2,3\n",
+        (SchemaError, "column 'country' not found "
+                      "(header: year, unemployment, gdp_change, inflation)"),
+    ),
+    "missing-inflation-column": (
+        "country,year,unemployment,gdp_change\nSK,1995,1,2\n",
+        (SchemaError, "column 'inflation' not found "
+                      "(header: country, year, unemployment, gdp_change)"),
+    ),
+    "empty-input": ("", (InvalidInputError, "empty input: a header row is required")),
+    "header-only": (_H, (InvalidInputError, "no data rows after the header")),
+    "short-row": (_H + "SK,1995,1\n", (ParseError, "row 2: missing value for column 'gdp_change'")),
+    "country-last-missing": (
+        "year,unemployment,gdp_change,inflation,country\n1995,1,2,3\n",
+        (ParseError, "row 2: missing value for column 'country'"),
+    ),
+    "empty-country": (_H + " ,1995,1,2,3\n", (ParseError, "row 2: empty country code")),
+    "year-fraction": (
+        _H + "SK,1995.5,1,2,3\n", (ParseError, "row 2, column 'year': not an integer")
+    ),
+    "year-text": (
+        _H + "SK,abc,1,2,3\n", (ParseError, "row 2, column 'year': not a number: 'abc'")
+    ),
+    "year-exponent": (
+        _H + "SK,1e3,1,2,3\nSK,1001,4,5,6\n",
+        [("SK", (1000, 1001), (1.0, 4.0), (2.0, 5.0), (3.0, 6.0))],
+    ),
+    "non-number": (
+        _H + "SK,1995,1,x,3\n", (ParseError, "row 2, column 'gdp_change': not a number: 'x'")
+    ),
+    "nan": (
+        _H + "SK,1995,1,2,nan\n",
+        (ParseError, "row 2, column 'inflation': non-finite value 'nan'"),
+    ),
+    "inf": (
+        _H + "SK,1995,inf,2,3\n",
+        (ParseError, "row 2, column 'unemployment': non-finite value 'inf'"),
+    ),
+    "duplicate-year": (
+        _H + "SK,1995,1,2,3\nSK,1995,4,5,6\n",
+        (InvalidInputError, "SK: duplicate years in series"),
+    ),
+    "quoted-cells": (
+        _H + '"SK","1995","1.5",2,"3"\n"C,Z",1996,4,5,6\n',
+        [("SK", (1995,), (1.5,), (2.0,), (3.0,)), ("C,Z", (1996,), (4.0,), (5.0,), (6.0,))],
+    ),
+    "stray-quote": (
+        _H + 'SK,1995,1,"2,3\nSK,1996,4,5,6\n',
+        (ParseError, "row 2, column 'gdp_change': not a number: '2,3\\nSK,1996,4,5,6'"),
+    ),
+    "crlf-bom": (
+        "\ufeff" + (_H + "SK,1995,1,2,3\nCZ,1995,4,5,6\nSK,1994,7,8,9\n").replace("\n", "\r\n"),
+        [("SK", (1994, 1995), (7.0, 1.0), (8.0, 2.0), (9.0, 3.0)),
+         ("CZ", (1995,), (4.0,), (5.0,), (6.0,))],
+    ),
+    "blank-lines": (
+        "\n" + _H + "\nSK,1995,1,2,3\n\n\nSK,1996,4,5,6\n\n",
+        [("SK", (1995, 1996), (1.0, 4.0), (2.0, 5.0), (3.0, 6.0))],
+    ),
+}
+
+
+class TestHostileIndicatorTables:
+    @pytest.mark.parametrize(
+        "text, expected", HOSTILE_INDICATOR_TABLES.values(), ids=HOSTILE_INDICATOR_TABLES
+    )
+    def test_series_or_error(self, text, expected):
+        try:
+            series = parse_indicator_csv(text)
+        except OrthoregError as exc:
+            assert (type(exc), str(exc)) == expected
+        else:
+            assert [
+                (s.country, s.years, s.unemployment, s.gdp_change, s.inflation) for s in series
+            ] == expected
+
+    def test_cell_faults_come_before_schema_faults_in_earlier_rows(self):
+        text = _H + "SK,1994.5,1,2,3\nSK,1995,x,2,3\n"
+        with pytest.raises(ParseError) as info:
+            parse_indicator_csv(text)
+        assert str(info.value) == "row 3, column 'unemployment': not a number: 'x'"
+        with pytest.raises(ParseError, match="^row 2: empty country code$"):
+            parse_indicator_csv(_H + ",1994,1,2,3\nSK,1995,1,2,3\n")
+
+
+_COUNTRY_CODES = st.text(alphabet='AZé ,;"', min_size=1, max_size=4).filter(str.strip)
+_VALUE_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(-1e3, 1e3).map(lambda v: f" {v:.3e} "),
+)
+
+
+@st.composite
+def _indicator_tables(draw):
+    """A valid indicator table in any column order, written by csv.writer."""
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    header = draw(st.permutations([*dataio.INDICATOR_FIELDS, "note"]))
+    rows = []
+    for country in draw(st.lists(_COUNTRY_CODES, min_size=1, max_size=3, unique_by=str.strip)):
+        years = draw(st.lists(st.integers(1900, 2100), min_size=1, max_size=4, unique=True))
+        for year in years:
+            cells = {
+                "country": country,
+                "year": draw(st.sampled_from([str(year), f"{year}.0", f" {year} "])),
+                "note": draw(st.text(alphabet='ab ,;"\n', max_size=3)),
+            }
+            for name in ("unemployment", "gdp_change", "inflation"):
+                cells[name] = draw(_VALUE_CELLS)
+            rows.append([cells[name] for name in header])
+    order = draw(st.permutations(range(len(rows))))
+    out = io.StringIO()
+    line_end = draw(st.sampled_from(["\n", "\r\n"]))
+    writer = csv.writer(out, delimiter=delimiter, lineterminator=line_end)
+    writer.writerow(header)
+    writer.writerows(rows[i] for i in order)
+    return out.getvalue(), delimiter
+
+
+@settings(max_examples=200, deadline=None)
+@given(_indicator_tables())
+def test_valid_indicator_tables_match_the_csv_reader_reference(table):
+    text, delimiter = table
+    assert parse_indicator_csv(text, delimiter) == reference_parse_indicator_csv(text, delimiter)

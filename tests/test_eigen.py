@@ -50,6 +50,18 @@ def test_sk_scatter_smallest_axis_matches_reference():
     assert delta < 1e-3
 
 
+@pytest.mark.parametrize("scale", [2e-193, 1e-300, 1e160, 1e300])
+def test_extreme_entries_are_rotated(scale):
+    dec = eigen_symmetric([[0.0, scale], [scale, 0.0]])
+    assert dec.eigenvalues.tolist() == [scale, -scale]
+    assert np.abs(np.abs(dec.eigenvectors) - np.sqrt(0.5)).max() < 1e-15
+
+
+def test_eigenvalue_beyond_the_float_range_rejected():
+    with pytest.raises(InvalidInputError, match="overflow"):
+        eigen_symmetric(SymmetricMatrix(np.full((2, 2), 1e308)))
+
+
 def test_rejects_non_finite():
     with pytest.raises(InvalidInputError):
         eigen_symmetric(np.array([[1.0, np.nan], [np.nan, 1.0]]))

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthoreg import (
     DegenerateGeometryError,
@@ -205,6 +209,36 @@ class TestTotalOrthogonalError:
         with pytest.raises(InvalidInputError):
             total_orthogonal_error(five_points_cloud, "not a model")
 
+    def test_reproduces_model_error_bits(self):
+        rng = np.random.default_rng(20)
+        for _ in range(100):
+            dim = int(rng.integers(2, 6))
+            cloud = PointCloud(rng.normal(size=(12, dim)) + rng.normal(size=dim) * 5.0)
+            for model in (fit_line(cloud), fit_hyperplane(cloud)):
+                stats = total_orthogonal_error(cloud, model)
+                distances = stats.per_point_distance
+                assert distances.tobytes() == model.error.per_point_distance.tobytes()
+                assert stats.sum_abs == model.error.sum_abs
+
+    def test_plane_offset_far_from_the_origin(self):
+        """Distances are taken about the centroid, not as normal.p + offset,
+        which cancels at 1e8 and loses every digit of a 1e-15 distance."""
+        rng = np.random.default_rng(3)
+        points = np.column_stack(
+            [rng.normal(size=20), rng.normal(size=20), 1e-6 * rng.normal(size=20)]
+        ) + 1e8
+        cloud = PointCloud(points)
+        plane = fit_hyperplane(cloud)
+        assert total_orthogonal_error(cloud, plane).sum_abs == plane.error.sum_abs
+        p = plane.centroid.copy()
+        p[0] = np.nextafter(p[0], np.inf)
+        exact = abs(sum(
+            Fraction(float(n)) * (Fraction(float(a)) - Fraction(float(c)))
+            for n, a, c in zip(plane.normal, p, plane.centroid)
+        ))
+        assert exact > 0
+        assert distance_point_to_plane(p, plane) == pytest.approx(float(exact), rel=1e-12)
+
     def test_metric_lookup(self, five_points_cloud):
         stats = total_orthogonal_error(five_points_cloud, fit_line(five_points_cloud))
         assert stats.metric("sum_abs") == stats.sum_abs
@@ -284,3 +318,59 @@ class TestGeometricInvariances:
             points = rng.normal(size=(n, 2)) * 3.0
             fitted = fit_line(PointCloud(points)).error.sum_sq
             assert fitted <= best_candidate_line_sum_sq(points, rng) + 1e-12
+
+
+@st.composite
+def _exact_clouds(draw):
+    """4 or 8 points with integer coordinates in [-64, 64], not all identical.
+
+    The centroid, the centred points and the scatter matrix are then exact,
+    so scaling the cloud by 2**k scales each of them exactly.
+    """
+    dim = draw(st.integers(2, 3))
+    n = draw(st.sampled_from([4, 8]))
+    rows = draw(st.lists(
+        st.lists(st.integers(-64, 64), min_size=dim, max_size=dim), min_size=n, max_size=n,
+    ).filter(lambda rows: any(row != rows[0] for row in rows)))
+    return np.array(rows, dtype=float)
+
+
+def _axis_bits(fit, points):
+    """The fitted axis as bytes, or the type of the error the fit raised."""
+    try:
+        model = fit(PointCloud(points))
+    except (InvalidInputError, DegenerateGeometryError) as exc:
+        return type(exc)
+    return (model.direction if fit is fit_line else model.normal).tobytes()
+
+
+class TestExtremeScales:
+    """Fits of cloud * 2**k: Jacobi commutes with power-of-two scaling."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_exact_clouds(), st.integers(-500, 500))
+    def test_same_axis_bits_within_the_resolvable_spread(self, points, k):
+        for fit in (fit_line, fit_hyperplane):
+            reference = _axis_bits(fit, points)
+            assert reference is not InvalidInputError
+            assert _axis_bits(fit, np.ldexp(points, k)) == reference
+
+    @settings(max_examples=100, deadline=None)
+    @given(_exact_clouds(), st.integers(520, 1000), st.sampled_from([-1, 1]))
+    def test_beyond_the_resolvable_spread_raises(self, points, k, sign):
+        for fit in (fit_line, fit_hyperplane):
+            with pytest.raises(InvalidInputError, match="spread"):
+                fit(PointCloud(np.ldexp(points, sign * k)))
+
+    @pytest.mark.parametrize("k", [256, 300, 500, -280, -400, -500])
+    def test_line_direction_at_scale(self, k):
+        base = np.array([[0.0, 0.0], [1.0, 3.0], [2.0, 6.1], [3.0, 8.9]])
+        reference = fit_line(PointCloud(base)).direction
+        assert fit_line(PointCloud(base * 2.0**k)).direction.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("value", [1e-170, 1e200])
+    def test_identical_points_stay_degenerate(self, value):
+        points = np.full((3, 2), value)
+        for fit in (fit_line, fit_hyperplane):
+            with pytest.raises(DegenerateGeometryError):
+                fit(PointCloud(points))

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -438,7 +439,10 @@ class TestCliExitCodes:
          "--label-column", "zz"],
         ["--input", "builtin:v4", "--country", "SK", "--geometry", "plane",
          "--columns", "a,b", "--label-column", "zz"],
-    ], ids=["csv-country", "builtin-columns", "builtin-label-column", "builtin-both"])
+        ["--input", "builtin:v4", "--country", "SK", "--geometry", "plane",
+         "--delimiter", ";"],
+    ], ids=["csv-country", "builtin-columns", "builtin-label-column", "builtin-both",
+            "builtin-delimiter"])
     def test_usage_flags_the_input_ignores(self, five_csv, capsys, flags):
         argv = ["fit", *[five_csv if f == "FIVE" else f for f in flags]]
         assert main(argv) == 2
@@ -463,6 +467,23 @@ class TestCliExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("command, rows", [
+        ("compare", "0,0\n1e-170,3e-170\n2e-170,6.1e-170\n"),
+        ("fit", "0,0\n1e160,3e160\n2e160,6.1e160\n"),
+    ], ids=["compare-tiny", "fit-huge"])
+    def test_unresolvable_spread_is_3(self, tmp_path, capsys, command, rows):
+        data = tmp_path / "points.csv"
+        data.write_text("x,y\n" + rows, encoding="utf-8")
+        argv = [command, "--input", str(data)]
+        if command == "fit":
+            argv += ["--geometry", "line"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "spread" in captured.err
 
     def test_usage_missing_file(self, capsys):
         assert main(["fit", "--input", "/no/such/file.csv", "--geometry", "line"]) == 2

@@ -4,20 +4,26 @@ Self-contained (no LAPACK): the scatter matrices this package diagonalizes are
 tiny (order 2..5), where Jacobi is accurate, simple, and keeps the working
 matrix exactly symmetric at every step.
 
-The rotations work on Python lists of floats, one scalar at a time. At this
-size a numpy call costs far more in dispatch than in arithmetic: a rotation
-with masked array updates needs about 20 numpy calls on 2..5 elements and
-makes a solve about 4x slower. The scalar form does the same IEEE operations
-in the same order as that array form (kept in the tests as the reference), so
-the eigenpairs are the same to the bit. The convergence test stays a numpy
-reduction over the whole matrix, once per sweep: a Python sum would add in
-another order, and one ulp there can change the number of sweeps.
+Between the input array and the returned arrays everything runs on Python
+lists of floats: validation, symmetrizing, the power-of-two scaling, the
+norms, the rotations, the sort and the sign fix. At this size a numpy call
+costs far more in dispatch than in arithmetic. The rotations do the same IEEE
+operations in the same order as the array form with masked updates (kept in
+the tests as the reference), so the eigenpairs are the same to the bit. The
+norm and the per-sweep off-diagonal mass are sums of squares, and one ulp in
+the convergence test can change the number of sweeps, so ``_pairwise_sum``
+adds them in the order ``np.add.reduce`` uses on a contiguous float64 array.
+``tests/test_eigen.py::test_pairwise_sum_matches_numpy`` pins that order
+against the installed numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
+from operator import add
 
 import numpy as np
 
@@ -33,6 +39,22 @@ OFF_DIAGONAL_TOLERANCE = 1e-14
 SIGN_TOLERANCE = 1e-12
 
 
+def _square_finite(array) -> tuple[np.ndarray, list[list[float]]]:
+    """``array`` as a float array and as a list of rows, checked to be square
+    of order >= 1 with finite entries."""
+    a = np.asarray(array, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise InvalidInputError("symmetric matrix must be square of order >= 1")
+    rows = a.tolist()
+    if not all(map(math.isfinite, chain.from_iterable(rows))):
+        raise InvalidInputError("symmetric matrix entries must be finite")
+    return a, rows
+
+
+def _is_symmetric(rows: list[list[float]]) -> bool:
+    return list(zip(*rows)) == list(map(tuple, rows))
+
+
 @dataclass(frozen=True)
 class SymmetricMatrix:
     """A real symmetric matrix, stored exactly symmetric (entries[i,j] == entries[j,i])."""
@@ -40,12 +62,8 @@ class SymmetricMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise InvalidInputError("symmetric matrix must be square of order >= 1")
-        if not np.isfinite(a).all():
-            raise InvalidInputError("symmetric matrix entries must be finite")
-        if not (a == a.T).all():
+        a, rows = _square_finite(self.entries)
+        if not _is_symmetric(rows):
             raise InvalidInputError(
                 "entries are not exactly symmetric; use SymmetricMatrix.from_array"
             )
@@ -60,17 +78,25 @@ class SymmetricMatrix:
         """Build from a nearly-symmetric array, symmetrizing exactly.
 
         Asymmetry beyond ``asymmetry_tol`` relative to the largest entry is an
-        error rather than something to silently average away.
+        error rather than something to silently average away. An exactly
+        symmetric array is kept as it is; otherwise each pair becomes its
+        mean ``0.5 * (x + y)``, or ``0.5 * x + 0.5 * y`` where the sum
+        overflows.
         """
-        a = np.asarray(array, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise InvalidInputError("symmetric matrix must be square of order >= 1")
-        if not np.isfinite(a).all():
-            raise InvalidInputError("symmetric matrix entries must be finite")
-        scale = max(1.0, float(np.abs(a).max()))
-        if float(np.abs(a - a.T).max()) > asymmetry_tol * scale:
-            raise InvalidInputError("matrix is not symmetric within tolerance")
-        return cls(0.5 * (a + a.T))
+        a, rows = _square_finite(array)
+        if not _is_symmetric(rows):
+            pairs = [(i, j) for i in range(len(rows)) for j in range(i)]
+            scale = max(1.0, max(map(abs, chain.from_iterable(rows))))
+            if max(abs(rows[i][j] - rows[j][i]) for i, j in pairs) > asymmetry_tol * scale:
+                raise InvalidInputError("matrix is not symmetric within tolerance")
+            for i, j in pairs:
+                x, y = rows[i][j], rows[j][i]
+                mean = 0.5 * (x + y)
+                if math.isinf(mean):
+                    mean = 0.5 * x + 0.5 * y
+                rows[i][j] = rows[j][i] = mean
+            a = np.array(rows)
+        return cls(a)
 
 
 @dataclass(frozen=True)
@@ -92,12 +118,40 @@ class EigenDecomposition:
         return self.eigenvalues.shape[0]
 
 
-def canonical_sign(v: np.ndarray, tol: float = SIGN_TOLERANCE) -> np.ndarray:
-    """Flip ``v`` if needed so its first component with |x| > tol is positive."""
+def _leads_negative(v, tol: float = SIGN_TOLERANCE) -> bool:
+    """Whether the first component of ``v`` with |x| > tol is negative."""
     for x in v:
         if abs(x) > tol:
-            return -v if x < 0 else v
-    return v
+            return x < 0
+    return False
+
+
+def canonical_sign(v: np.ndarray, tol: float = SIGN_TOLERANCE) -> np.ndarray:
+    """Flip ``v`` if needed so its first component with |x| > tol is positive."""
+    return -v if _leads_negative(v, tol) else v
+
+
+def _pairwise_sum(terms: list[float]) -> float:
+    """Sum of non-negative ``terms``, equal to ``float(np.sum(terms))`` bit for bit.
+
+    numpy adds a contiguous float64 array pairwise: one term at a time below
+    8 terms, into 8 interleaved partial sums up to 128 terms (then the partial
+    sums as a tree, then the leftover terms one at a time), and above that as
+    two halves whose split is rounded down to a multiple of 8.
+    """
+    n = len(terms)
+    if n < 8:
+        return reduce(add, terms, 0.0)
+    if n <= 128:
+        body = n - n % 8
+        r = terms[:8]
+        for i in range(8, body, 8):
+            r = list(map(add, r, terms[i:i + 8]))
+        r0, r1, r2, r3, r4, r5, r6, r7 = r
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        return reduce(add, terms[body:], total)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
 
 
 def _rotate(a: list[list[float]], v: list[list[float]], p: int, q: int) -> None:
@@ -127,9 +181,12 @@ def _rotate(a: list[list[float]], v: list[list[float]], p: int, q: int) -> None:
         row[q] = s * x + c * y
 
 
-def _off_diagonal_mass(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt(np.sum(off * off)))
+def _off_diagonal_mass(a: list[list[float]]) -> float:
+    """Frobenius norm of ``a`` without its diagonal, summed in the row-major
+    order of the array ``a - diag(a)`` (whose diagonal squares are 0.0)."""
+    squares = [x * x for row in a for x in row]
+    squares[::len(a) + 1] = [0.0] * len(a)
+    return math.sqrt(_pairwise_sum(squares))
 
 
 def eigen_symmetric(m) -> EigenDecomposition:
@@ -155,38 +212,40 @@ def eigen_symmetric(m) -> EigenDecomposition:
     """
     if not isinstance(m, SymmetricMatrix):
         m = SymmetricMatrix.from_array(m)
+    entries = m.entries.tolist()
+    n = len(entries)
     # Jacobi commutes exactly with a power-of-two scaling, and scaling the
     # largest entry into [0.5, 1) keeps the squares in the norm and in the
     # convergence test from overflowing or underflowing.
-    _, exponent = math.frexp(float(np.abs(m.entries).max()))
-    start = np.ldexp(m.entries, -exponent)
-    n = m.order
-    norm = float(np.sqrt(np.sum(start * start)))
-    a = start.tolist()
-    v = np.eye(n).tolist()
+    _, exponent = math.frexp(max(map(abs, chain.from_iterable(entries))))
+    a = [[math.ldexp(x, -exponent) for x in row] for row in entries]
+    tolerance = OFF_DIAGONAL_TOLERANCE * math.sqrt(
+        _pairwise_sum([x * x for row in a for x in row])
+    )
+    v = [[float(i == j) for j in range(n)] for i in range(n)]
 
-    converged = False
     for _ in range(MAX_SWEEPS):
-        if _off_diagonal_mass(np.array(a)) <= OFF_DIAGONAL_TOLERANCE * norm:
-            converged = True
+        if _off_diagonal_mass(a) <= tolerance:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
                 if a[p][q] != 0.0:
                     _rotate(a, v, p, q)
     else:
-        converged = _off_diagonal_mass(np.array(a)) <= OFF_DIAGONAL_TOLERANCE * norm
-    if not converged:
-        raise NumericalFailureError(
-            f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps"
-        )
+        if _off_diagonal_mass(a) > tolerance:
+            raise NumericalFailureError(
+                f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps"
+            )
 
     try:
-        values = np.array([math.ldexp(a[i][i], exponent) for i in range(n)])
+        values = [math.ldexp(a[i][i], exponent) for i in range(n)]
     except OverflowError:
         raise InvalidInputError("eigenvalues overflow the float range") from None
-    order = np.argsort(-values, kind="stable")  # descending, stable on ties
-    values = values[order]
-    columns = np.array(v).T
-    vectors = np.array([canonical_sign(columns[j]) for j in order])
-    return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
+    order = sorted(range(n), key=values.__getitem__, reverse=True)  # descending, stable on ties
+    vectors = []
+    for j in order:
+        column = [row[j] for row in v]
+        vectors.append([-x for x in column] if _leads_negative(column) else column)
+    return EigenDecomposition(
+        eigenvalues=np.array([values[j] for j in order]), eigenvectors=np.array(vectors)
+    )

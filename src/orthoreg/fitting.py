@@ -92,9 +92,9 @@ class ResidualStats:
         return cls(
             per_point_distance=d,
             sum_sq=sum_sq,
-            sum_abs=float(np.sum(d)),
-            rms=float(np.sqrt(sum_sq / d.shape[0])),
-            root_sum_sq=float(np.sqrt(sum_sq)),
+            sum_abs=float(d.sum()),
+            rms=math.sqrt(sum_sq / d.shape[0]),
+            root_sum_sq=math.sqrt(sum_sq),
         )
 
     def metric(self, name: str) -> float:
@@ -131,9 +131,29 @@ class FittedHyperplane:
         return self.normal.shape[0]
 
 
+def _column_means(a: np.ndarray) -> np.ndarray:
+    """``a.mean(axis=0)``, also where a column sum overflows. Call it under
+    ``np.errstate(over="ignore", invalid="ignore")``.
+
+    Such a sum is taken again over ``a * 2**-k``, with ``2**k >= len(a)`` so
+    that it cannot overflow, and its mean is scaled back. Rounding can carry
+    that mean just past the column's least or greatest entry (a constant
+    column at 1.5e308 would get a spread of one ulp there, 2e292), so the
+    mean is clamped to them.
+    """
+    n = a.shape[0]
+    total = np.add.reduce(a, axis=0)  # a numpy scalar when ``a`` is 1-D
+    if all(map(math.isfinite, total.reshape(-1).tolist())):
+        return total / n
+    k = n.bit_length()
+    mean = np.ldexp(np.add.reduce(np.ldexp(a, -k), axis=0) / n, k)
+    return np.clip(mean, a.min(axis=0), a.max(axis=0))
+
+
 def centroid(cloud: PointCloud) -> np.ndarray:
     """Coordinate-wise mean of the cloud. Every fitted flat passes through it."""
-    return cloud.points.mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _column_means(cloud.points)
 
 
 def scatter_matrix(cloud: PointCloud) -> SymmetricMatrix:
@@ -142,25 +162,28 @@ def scatter_matrix(cloud: PointCloud) -> SymmetricMatrix:
     No 1/(n-1) factor: normalization rescales eigenvalues uniformly and does
     not move the principal axes.
     """
-    return _scatter_about(cloud, centroid(cloud))
+    return _centroid_and_scatter(cloud)[1]
 
 
-def _scatter_about(cloud: PointCloud, c: np.ndarray) -> SymmetricMatrix:
-    """scatter_matrix with the centroid ``c`` already computed by the caller.
+def _centroid_and_scatter(cloud: PointCloud) -> tuple[np.ndarray, SymmetricMatrix]:
+    """The centroid ``c`` of the cloud and its scatter_matrix.
 
     The spread of the points, their largest |p - c|, must lie in
     [2**-511, 2**511 / sqrt(n * dim)]: below it the squares leave the normal
     float range, above it the trace overflows. Outside it InvalidInputError
-    is raised; a spread of 0 (identical points) is allowed.
+    is raised; a spread of 0 (identical points) is allowed. A coordinate of
+    ``p - c`` beyond the float range is infinite, so its spread is rejected.
     """
-    b = cloud.points - c
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _column_means(cloud.points)
+        b = cloud.points - c
     spread = max(float(b.max()), -float(b.min()))
     if spread and not 2.0**-511 <= spread <= 2.0**511 / math.sqrt(b.size):
         raise InvalidInputError(
             f"points spread {spread:.3g} about their centroid; a scatter matrix "
             "needs a spread between about 1e-153 and 1e153"
         )
-    return SymmetricMatrix.from_array(b.T @ b, asymmetry_tol=1e-9)
+    return c, SymmetricMatrix.from_array(b.T @ b, asymmetry_tol=1e-9)
 
 
 def _all_points_identical(cloud: PointCloud) -> bool:
@@ -170,7 +193,8 @@ def _all_points_identical(cloud: PointCloud) -> bool:
 def _line_distances(points: np.ndarray, anchor: np.ndarray, direction: np.ndarray) -> np.ndarray:
     """Orthogonal distance of each point to the line anchor + t * direction."""
     b = points - anchor
-    return np.linalg.norm(b - np.outer(b @ direction, direction), axis=1)
+    r = b - np.outer(b @ direction, direction)
+    return np.sqrt(np.add.reduce(r * r, axis=1))
 
 
 def _plane_distances(points: np.ndarray, c: np.ndarray, normal: np.ndarray) -> np.ndarray:
@@ -190,7 +214,7 @@ def fit_line(cloud: PointCloud) -> FittedLine:
     ------
     InvalidInputError
         Fewer than 2 points, dim < 2, or a spread the scatter matrix cannot
-        represent (see ``_scatter_about``).
+        represent (see ``_centroid_and_scatter``).
     DegenerateGeometryError
         All points identical (no direction is distinguished).
     """
@@ -204,8 +228,8 @@ def fit_line(cloud: PointCloud) -> FittedLine:
             flat_dim=0,
             flat_point=cloud.points[0].copy(),
         )
-    anchor = centroid(cloud)
-    dec = eigen_symmetric(_scatter_about(cloud, anchor))
+    anchor, scatter = _centroid_and_scatter(cloud)
+    dec = eigen_symmetric(scatter)
     direction = dec.eigenvectors[0]
     distances = _line_distances(cloud.points, anchor, direction)
     return FittedLine(anchor, direction, ResidualStats.from_distances(distances))
@@ -221,7 +245,7 @@ def fit_hyperplane(cloud: PointCloud) -> FittedHyperplane:
     ------
     InvalidInputError
         Fewer than ``dim`` points, dim < 2, or a spread the scatter matrix
-        cannot represent (see ``_scatter_about``).
+        cannot represent (see ``_centroid_and_scatter``).
     DegenerateGeometryError
         The points span a flat of dimension < dim-1, so infinitely many
         hyperplanes contain them; the spanned flat is reported on the error.
@@ -232,11 +256,11 @@ def fit_hyperplane(cloud: PointCloud) -> FittedHyperplane:
         raise InvalidInputError(
             f"hyperplane fit in dimension {cloud.dim} needs at least {cloud.dim} points"
         )
-    c = centroid(cloud)
-    dec = eigen_symmetric(_scatter_about(cloud, c))
-    values = dec.eigenvalues
+    c, scatter = _centroid_and_scatter(cloud)
+    dec = eigen_symmetric(scatter)
+    values = dec.eigenvalues.tolist()
     cutoff = values[0] * RANK_TOLERANCE
-    rank = int(np.sum(values > cutoff)) if values[0] > 0.0 else 0
+    rank = sum(x > cutoff for x in values) if values[0] > 0.0 else 0
     if rank < cloud.dim - 1:
         raise DegenerateGeometryError(
             f"points span only a {rank}-dimensional flat; "

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, InvalidInputError
-from .fitting import FittedLine, PointCloud, fit_line
+from .fitting import FittedLine, PointCloud, _column_means, fit_line
 
 
 class Orientation(enum.Enum):
@@ -80,7 +80,8 @@ def _clean_xy(xs, ys):
 
 
 def _moments(x, y):
-    xm, ym = x.mean(), y.mean()
+    with np.errstate(over="ignore", invalid="ignore"):
+        xm, ym = _column_means(x), _column_means(y)
     dx, dy = x - xm, y - ym
     return xm, ym, float(dx @ dx), float(dy @ dy), float(dx @ dy)
 

@@ -9,7 +9,6 @@ polylines carry class "series".
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -23,6 +22,12 @@ MARGIN_T = 30
 MARGIN_B = 56
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
+
+
+def _escape(text: str) -> str:
+    """``xml.sax.saxutils.escape``, same replacements in the same order, without
+    the import: ``xml.sax`` pulls in ``urllib`` and ``http`` (about 40 ms)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(v: float) -> str:
@@ -122,7 +127,7 @@ def _header(title: str) -> list[str]:
     if title:
         parts.append(
             f'<text class="title" x="{CANVAS_W // 2}" y="20" text-anchor="middle" '
-            f'font-size="14">{escape(title)}</text>'
+            f'font-size="14">{_escape(title)}</text>'
         )
     return parts
 
@@ -158,13 +163,13 @@ def _axes(frame: _Frame, x_label: str, y_label: str) -> list[str]:
     if x_label:
         parts.append(
             f'<text class="axis-label" x="{(frame.px_lo + frame.px_hi) // 2}" '
-            f'y="{CANVAS_H - 14}" text-anchor="middle" font-size="12">{escape(x_label)}</text>'
+            f'y="{CANVAS_H - 14}" text-anchor="middle" font-size="12">{_escape(x_label)}</text>'
         )
     if y_label:
         cx, cy = 18, (frame.py_lo + frame.py_hi) // 2
         parts.append(
             f'<text class="axis-label" x="{cx}" y="{cy}" text-anchor="middle" font-size="12" '
-            f'transform="rotate(-90 {cx} {cy})">{escape(y_label)}</text>'
+            f'transform="rotate(-90 {cx} {cy})">{_escape(y_label)}</text>'
         )
     return parts
 
@@ -179,7 +184,7 @@ def _legend(frame: _Frame, entries) -> list[str]:
             f'stroke="{color}" stroke-width="2"/>'
         )
         parts.append(
-            f'<text class="legend" x="{x + 28}" y="{y}" font-size="12">{escape(name)}</text>'
+            f'<text class="legend" x="{x + 28}" y="{y}" font-size="12">{_escape(name)}</text>'
         )
     return parts
 

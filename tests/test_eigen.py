@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,7 @@ from orthoreg import (
     scatter_matrix,
     v4_dataset,
 )
-from orthoreg.eigen import canonical_sign
+from orthoreg.eigen import _pairwise_sum, canonical_sign
 
 from _helpers import (
     cofactor_det,
@@ -62,6 +65,71 @@ def test_eigenvalue_beyond_the_float_range_rejected():
         eigen_symmetric(SymmetricMatrix(np.full((2, 2), 1e308)))
 
 
+def test_entries_near_the_float_maximum_are_not_overflowed():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dec = eigen_symmetric([[1e308, 0.0], [0.0, 1.0]])
+    assert dec.eigenvalues.tolist() == [1e308, 1.0]
+    assert dec.eigenvectors.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
+def test_from_array_mean_of_a_pair_whose_sum_overflows():
+    x = 1.7e308
+    y = x * (1.0 - 1e-13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = SymmetricMatrix.from_array([[1.0, x], [y, 1.0]])
+    assert m.entries.tolist() == [[1.0, 0.5 * x + 0.5 * y], [0.5 * x + 0.5 * y, 1.0]]
+
+
+def test_from_array_keeps_the_bits_of_each_pair():
+    """Exactly symmetric input is kept as it is; any other pair becomes
+    0.5 * (x + y), the array expression ``0.5 * (a + a.T)``."""
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        a = random_symmetric(rng, n, scale=10.0 ** float(rng.integers(-150, 150)))
+        assert SymmetricMatrix.from_array(a).entries.tobytes() == a.tobytes()
+        a = a * (1.0 + 1e-14 * rng.uniform(-1.0, 1.0, size=(n, n)))
+        expected = 0.5 * (a + a.T)
+        assert SymmetricMatrix.from_array(a).entries.tobytes() == expected.tobytes()
+
+
+_SQUARE = "symmetric matrix must be square of order >= 1"
+_FINITE = "symmetric matrix entries must be finite"
+
+
+@pytest.mark.parametrize("build, array, message", [
+    (SymmetricMatrix, np.zeros((2, 3)), _SQUARE),
+    (SymmetricMatrix.from_array, np.zeros((2, 3)), _SQUARE),
+    (SymmetricMatrix, np.zeros(3), _SQUARE),
+    (SymmetricMatrix.from_array, np.zeros((2, 2, 2)), _SQUARE),
+    (SymmetricMatrix, np.zeros((0, 0)), _SQUARE),
+    (SymmetricMatrix.from_array, np.zeros((0, 0)), _SQUARE),
+    (SymmetricMatrix.from_array, [[np.nan, 1.0, 2.0]], _SQUARE),
+    (SymmetricMatrix, [[1.0, np.nan], [np.nan, 1.0]], _FINITE),
+    (SymmetricMatrix.from_array, [[1.0, np.nan], [np.nan, 1.0]], _FINITE),
+    (SymmetricMatrix, [[np.inf, 0.0], [0.0, 1.0]], _FINITE),
+    (SymmetricMatrix.from_array, [[1.0, np.inf], [0.0, 1.0]], _FINITE),
+    (SymmetricMatrix, [[1.0, 2.0], [2.0 + 1e-15, 1.0]],
+     "entries are not exactly symmetric; use SymmetricMatrix.from_array"),
+    (SymmetricMatrix.from_array, [[1.0, 2.0], [1.0, 1.0]],
+     "matrix is not symmetric within tolerance"),
+    (SymmetricMatrix.from_array, [[1.0, 1.7e308], [-1.7e308, 1.0]],
+     "matrix is not symmetric within tolerance"),
+], ids=[
+    "not-square", "from-not-square", "one-dimensional", "from-three-dimensional", "empty",
+    "from-empty", "from-not-square-before-nan", "nan", "from-nan", "inf", "from-inf",
+    "asymmetric", "from-beyond-tolerance", "from-difference-overflows",
+])
+def test_validation_errors_and_messages(build, array, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError) as raised:
+            build(array)
+    assert str(raised.value) == message
+
+
 def test_rejects_non_finite():
     with pytest.raises(InvalidInputError):
         eigen_symmetric(np.array([[1.0, np.nan], [np.nan, 1.0]]))
@@ -87,6 +155,26 @@ def test_symmetric_matrix_type_validates():
     m = SymmetricMatrix.from_array(np.array([[1.0, 2.0], [2.0 + 1e-15, 1.0]]))
     assert (m.entries == m.entries.T).all()
     assert m.order == 2
+
+
+@st.composite
+def sum_terms(draw):
+    """1..300 non-negative floats (the pairwise order changes at 8 and 128):
+    uniform mantissas in [0, 1) times 2**e, e drawn from a span inside
+    -1074..1000, some of them zero."""
+    n = draw(st.integers(min_value=1, max_value=300))
+    low = draw(st.integers(min_value=-1074, max_value=1000))
+    high = draw(st.integers(min_value=low, max_value=1000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    terms = np.ldexp(rng.random(n), rng.integers(low, high + 1, n))
+    terms[rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.9]))] = 0.0
+    return terms.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(sum_terms())
+def test_pairwise_sum_matches_numpy(terms):
+    assert _pairwise_sum(terms).hex() == float(np.sum(np.array(terms))).hex()
 
 
 def test_canonical_sign():
@@ -182,8 +270,8 @@ _mantissa = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 @st.composite
 def scaled_symmetric(draw):
-    """Order 1..5, each entry a mantissa times 10**e with e in -8..8."""
-    n = draw(st.integers(min_value=1, max_value=5))
+    """Order 1..8, each entry a mantissa times 10**e with e in -8..8."""
+    n = draw(st.integers(min_value=1, max_value=8))
     a = np.zeros((n, n))
     for i in range(n):
         for j in range(i, n):
@@ -193,8 +281,8 @@ def scaled_symmetric(draw):
 
 @st.composite
 def special_symmetric(draw):
-    """Zero, diagonal and all-ones matrices of order 1..5 at scales 1e-8..1e8."""
-    n = draw(st.integers(min_value=1, max_value=5))
+    """Zero, diagonal and all-ones matrices of order 1..8 at scales 1e-8..1e8."""
+    n = draw(st.integers(min_value=1, max_value=8))
     scale = 10.0 ** draw(st.integers(-8, 8))
     kind = draw(st.sampled_from(["zero", "diagonal", "ones"]))
     if kind == "zero":
@@ -208,13 +296,13 @@ def special_symmetric(draw):
 def hostile_scatter(draw):
     """Scatter matrix of a thin, 1e8-offset, near-tied, duplicated or n = d cloud."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    dim = draw(st.integers(min_value=2, max_value=5))
+    dim = draw(st.integers(min_value=2, max_value=8))
     kind = draw(st.sampled_from(["thin", "offset", "tied", "duplicated", "n_eq_d"]))
     n = dim if kind == "n_eq_d" else draw(st.integers(min_value=dim + 1, max_value=50))
     spread = np.geomspace(4.0, 0.5, dim)
     shift = rng.normal(size=dim) * 3.0
     if kind == "thin":
-        spread[1:] = np.array([0.5, 0.4, 0.3, 1e-6, 5e-7])[-(dim - 1):]
+        spread[1:] = np.array([0.7, 0.6, 0.5, 0.4, 0.3, 1e-6, 5e-7])[-(dim - 1):]
     elif kind == "offset":
         shift = rng.choice([-1.0, 1.0], dim) * 1e8
     elif kind == "tied":

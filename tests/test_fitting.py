@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -75,6 +76,44 @@ class TestCentroidAndScatter:
 
     def test_sk_centroid_matches_reference(self):
         assert np.abs(centroid(sk_cloud()) - [13.8714, 4.5571, 9.1429]).max() < 1e-4
+
+    def test_centroid_is_the_column_mean_to_the_bit(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            n, dim = int(rng.integers(1, 300)), int(rng.integers(1, 6))
+            points = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-150, 150, dim)
+            points += rng.normal(size=dim) * 10.0 ** float(rng.uniform(-150, 150))
+            assert centroid(PointCloud(points)).tobytes() == points.mean(axis=0).tobytes()
+
+    def test_constant_column_near_the_float_maximum(self):
+        points = np.array([[1.5e308, 0.0], [1.5e308, 1.0], [1.5e308, 2.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert centroid(PointCloud(points)).tolist() == [1.5e308, 3.5 / 3.0]
+            line = fit_line(PointCloud(points))
+            plane = fit_hyperplane(PointCloud(points))
+        assert line.direction.tolist() == [0.0, 1.0]
+        assert plane.normal.tolist() == [1.0, 0.0]
+        assert line.error.sum_sq == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 200), st.sampled_from([-1.0, 1.0]), st.data())
+    def test_constant_column_whose_sum_overflows(self, n, sign, data):
+        largest = np.finfo(float).max
+        value = data.draw(st.floats(min_value=largest / n * (1.0 + 1e-12), max_value=largest))
+        points = np.column_stack([np.full(n, sign * value), np.arange(n, dtype=float)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert centroid(PointCloud(points))[0] == sign * value
+            assert fit_line(PointCloud(points)).direction.tolist() == [0.0, 1.0]
+
+    def test_centring_overflow_is_an_unresolvable_spread(self):
+        points = np.array([[1.7e308, 0.0], [1.7e308, 1.0], [-1.7e308, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fit in (fit_line, fit_hyperplane, scatter_matrix):
+                with pytest.raises(InvalidInputError, match="spread inf"):
+                    fit(PointCloud(points))
 
 
 class TestFitLine:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,15 @@ class TestCompare:
         assert same_up_to_sign(report.tls.direction, np.array([0.0, 1.0]), 1e-12)
         assert report.angle_ols_tls_deg is None
         assert report.tls_between_scissors is None
+
+    def test_constant_x_near_the_float_maximum(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = compare_ols_tls([1.5e308] * 3, [0.0, 1.0, 2.5])
+        assert report.centroid.tolist() == [1.5e308, 3.5 / 3.0]
+        assert report.ols is None
+        assert (report.conjugate.slope, report.conjugate.intercept) == (0.0, 1.5e308)
+        assert report.tls.direction.tolist() == [0.0, 1.0]
 
     def test_all_identical_degenerate(self):
         with pytest.raises(DegenerateGeometryError):

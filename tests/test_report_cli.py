@@ -3,14 +3,19 @@ import dataclasses
 import io
 import json
 import math
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orthoreg
 from orthoreg import InvalidInputError, PointCloud, ResidualStats, v4_dataset
 from orthoreg.cli import emit_plot_svg, main
 from orthoreg.dataio import format_indicator_csv, parse_cloud_csv, parse_indicator_csv
@@ -25,7 +30,7 @@ from orthoreg.report import (
     report_from_dict,
     report_to_dict,
 )
-from orthoreg.svg import PALETTE, nice_ticks, scatter_chart
+from orthoreg.svg import PALETTE, _escape, nice_ticks, scatter_chart
 
 FIVE_CSV = "x,y\n1,4\n3,2\n4,6\n5,8\n7,5\n"
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -195,6 +200,21 @@ class TestSvg:
     def test_no_points_rejected(self):
         with pytest.raises(InvalidInputError):
             scatter_chart(np.empty((0, 2)))
+
+    @given(st.text())
+    def test_escape_matches_saxutils(self, text):
+        assert _escape(text) == escape(text)
+
+    def test_cli_import_skips_xml_sax_and_the_network_stack(self):
+        # urllib.parse is left out: pathlib imports it.
+        code = (
+            "import sys, orthoreg.cli; print(sorted(m for m in sys.modules if "
+            "m.startswith(('xml.sax', 'urllib.request', 'http', 'email'))))"
+        )
+        env = {"PYTHONPATH": str(Path(orthoreg.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True, timeout=60)
+        assert done.stdout.strip() == "[]"
 
 
 @st.composite
@@ -471,7 +491,9 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("command, rows", [
         ("compare", "0,0\n1e-170,3e-170\n2e-170,6.1e-170\n"),
         ("fit", "0,0\n1e160,3e160\n2e160,6.1e160\n"),
-    ], ids=["compare-tiny", "fit-huge"])
+        ("fit", "1.7e308,0\n1.7e308,1\n-1.7e308,2\n"),
+        ("compare", "1.7e308,0\n1.7e308,1\n-1.7e308,2\n"),
+    ], ids=["compare-tiny", "fit-huge", "fit-centring-overflows", "compare-centring-overflows"])
     def test_unresolvable_spread_is_3(self, tmp_path, capsys, command, rows):
         data = tmp_path / "points.csv"
         data.write_text("x,y\n" + rows, encoding="utf-8")
@@ -484,6 +506,21 @@ class TestCliExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "spread" in captured.err
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_constant_x_near_the_float_maximum_is_0(self, tmp_path, capsys, command):
+        data = tmp_path / "points.csv"
+        data.write_text("x,y\n1.5e308,0\n1.5e308,1\n1.5e308,2.5\n", encoding="utf-8")
+        argv = [command, "--input", str(data)]
+        if command == "fit":
+            argv += ["--geometry", "line"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        line = out["model"] if command == "fit" else out["tls"]
+        assert line["anchor"][0] == 1.5e308
+        assert line["direction"] == [0.0, 1.0]
 
     def test_usage_missing_file(self, capsys):
         assert main(["fit", "--input", "/no/such/file.csv", "--geometry", "line"]) == 2

@@ -38,6 +38,9 @@ OFF_DIAGONAL_TOLERANCE = 1e-14
 #: Components smaller than this are treated as zero when fixing eigenvector signs.
 SIGN_TOLERANCE = 1e-12
 
+#: Largest asymmetry, relative to the largest entry, that from_array averages away.
+ASYMMETRY_TOLERANCE = 1e-12
+
 
 def _square_finite(array) -> tuple[np.ndarray, list[list[float]]]:
     """``array`` as a float array and as a list of rows, checked to be square
@@ -74,10 +77,10 @@ class SymmetricMatrix:
         return self.entries.shape[0]
 
     @classmethod
-    def from_array(cls, array, asymmetry_tol: float = 1e-12) -> "SymmetricMatrix":
+    def from_array(cls, array) -> "SymmetricMatrix":
         """Build from a nearly-symmetric array, symmetrizing exactly.
 
-        Asymmetry beyond ``asymmetry_tol`` relative to the largest entry is an
+        Asymmetry beyond ASYMMETRY_TOLERANCE relative to the largest entry is an
         error rather than something to silently average away. An exactly
         symmetric array is kept as it is; otherwise each pair becomes its
         mean ``0.5 * (x + y)``, or ``0.5 * x + 0.5 * y`` where the sum
@@ -87,7 +90,7 @@ class SymmetricMatrix:
         if not _is_symmetric(rows):
             pairs = [(i, j) for i in range(len(rows)) for j in range(i)]
             scale = max(1.0, max(map(abs, chain.from_iterable(rows))))
-            if max(abs(rows[i][j] - rows[j][i]) for i, j in pairs) > asymmetry_tol * scale:
+            if max(abs(rows[i][j] - rows[j][i]) for i, j in pairs) > ASYMMETRY_TOLERANCE * scale:
                 raise InvalidInputError("matrix is not symmetric within tolerance")
             for i, j in pairs:
                 x, y = rows[i][j], rows[j][i]

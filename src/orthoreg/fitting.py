@@ -7,6 +7,10 @@ is the best line direction, the smallest-eigenvalue axis is the best
 hyperplane normal. Unlike a classical regression, the result does not depend
 on which coordinate is declared "dependent", and it is invariant under rigid
 motions of the data.
+
+Every centring goes through ``_centred``, which also applies the spread rule.
+The fits take both the scatter matrix and the residuals from its centred
+points; the classical lines in ``regression`` centre each coordinate with it.
 """
 
 from __future__ import annotations
@@ -150,8 +154,39 @@ def _column_means(a: np.ndarray) -> np.ndarray:
     return np.clip(mean, a.min(axis=0), a.max(axis=0))
 
 
+def _centred(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The centre ``c`` of the points ``a`` (or of one coordinate's values)
+    and the centred points ``a - c``.
+
+    ``c`` is the column mean, but a constant column is centred on its value:
+    its rounded mean can be up to n ulps off, as its first centred entry is.
+
+    The spread of the points, their largest |p - c|, must lie in
+    [2**-511, 2**511 / sqrt(a.size)]: below it the squares leave the normal
+    float range, above it the trace overflows. Outside it InvalidInputError
+    is raised; a spread of 0 (identical points) is allowed. A coordinate of
+    ``p - c`` beyond the float range is infinite, so its spread is rejected.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _column_means(a)
+        b = a - c
+        pairs = zip(b[0].reshape(-1).tolist(), a[0].reshape(-1).tolist())
+        if any(0.0 < abs(x) <= len(a) * math.ulp(v) for x, v in pairs):
+            c = np.where((a == a[0]).all(axis=0), a[0], c)[()]
+            b = a - c
+    spread = max(float(b.max()), -float(b.min()))
+    if spread and not 2.0**-511 <= spread <= 2.0**511 / math.sqrt(b.size):
+        raise InvalidInputError(
+            f"points spread {spread:.3g} about their centroid; a scatter matrix "
+            "needs a spread between about 1e-153 and 1e153"
+        )
+    return c, b
+
+
 def centroid(cloud: PointCloud) -> np.ndarray:
-    """Coordinate-wise mean of the cloud. Every fitted flat passes through it."""
+    """Coordinate-wise mean of the cloud. Every fitted flat passes through it,
+    up to the few ulps by which it can miss the value of a constant column
+    (a fit centres such a column on its value; see ``_centred``)."""
     with np.errstate(over="ignore", invalid="ignore"):
         return _column_means(cloud.points)
 
@@ -160,48 +195,29 @@ def scatter_matrix(cloud: PointCloud) -> SymmetricMatrix:
     """Unnormalized centered scatter matrix sum_i (p_i - c)(p_i - c)^T.
 
     No 1/(n-1) factor: normalization rescales eigenvalues uniformly and does
-    not move the principal axes.
+    not move the principal axes. numpy mirrors one triangle of ``b.T @ b``.
     """
-    return _centroid_and_scatter(cloud)[1]
-
-
-def _centroid_and_scatter(cloud: PointCloud) -> tuple[np.ndarray, SymmetricMatrix]:
-    """The centroid ``c`` of the cloud and its scatter_matrix.
-
-    The spread of the points, their largest |p - c|, must lie in
-    [2**-511, 2**511 / sqrt(n * dim)]: below it the squares leave the normal
-    float range, above it the trace overflows. Outside it InvalidInputError
-    is raised; a spread of 0 (identical points) is allowed. A coordinate of
-    ``p - c`` beyond the float range is infinite, so its spread is rejected.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = _column_means(cloud.points)
-        b = cloud.points - c
-    spread = max(float(b.max()), -float(b.min()))
-    if spread and not 2.0**-511 <= spread <= 2.0**511 / math.sqrt(b.size):
-        raise InvalidInputError(
-            f"points spread {spread:.3g} about their centroid; a scatter matrix "
-            "needs a spread between about 1e-153 and 1e153"
-        )
-    return c, SymmetricMatrix.from_array(b.T @ b, asymmetry_tol=1e-9)
+    b = _centred(cloud.points)[1]
+    return SymmetricMatrix(b.T @ b)
 
 
 def _all_points_identical(cloud: PointCloud) -> bool:
     return bool((cloud.points == cloud.points[0]).all())
 
 
-def _line_distances(points: np.ndarray, anchor: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """Orthogonal distance of each point to the line anchor + t * direction."""
-    b = points - anchor
+def _line_distances(b: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """Orthogonal distance of each point of ``b``, centred on the line's
+    anchor, to the line t * direction."""
     r = b - np.outer(b @ direction, direction)
     return np.sqrt(np.add.reduce(r * r, axis=1))
 
 
-def _plane_distances(points: np.ndarray, c: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    """Orthogonal distance of each point to the hyperplane through ``c`` with
-    unit ``normal``. Taken about ``c``, as ``normal . p + offset`` cancels
-    when the points lie far from the origin."""
-    return np.abs((points - c) @ normal)
+def _plane_distances(b: np.ndarray, normal: np.ndarray) -> np.ndarray:
+    """Orthogonal distance of each point of ``b``, centred on the centroid of
+    the hyperplane with unit ``normal``. Centred, as ``normal . p + offset``
+    cancels when the points lie far from the origin."""
+    d = b @ normal
+    return np.abs(d, out=d)
 
 
 def fit_line(cloud: PointCloud) -> FittedLine:
@@ -214,7 +230,7 @@ def fit_line(cloud: PointCloud) -> FittedLine:
     ------
     InvalidInputError
         Fewer than 2 points, dim < 2, or a spread the scatter matrix cannot
-        represent (see ``_centroid_and_scatter``).
+        represent (see ``_centred``).
     DegenerateGeometryError
         All points identical (no direction is distinguished).
     """
@@ -228,10 +244,9 @@ def fit_line(cloud: PointCloud) -> FittedLine:
             flat_dim=0,
             flat_point=cloud.points[0].copy(),
         )
-    anchor, scatter = _centroid_and_scatter(cloud)
-    dec = eigen_symmetric(scatter)
-    direction = dec.eigenvectors[0]
-    distances = _line_distances(cloud.points, anchor, direction)
+    anchor, b = _centred(cloud.points)
+    direction = eigen_symmetric(SymmetricMatrix(b.T @ b)).eigenvectors[0]
+    distances = _line_distances(b, direction)
     return FittedLine(anchor, direction, ResidualStats.from_distances(distances))
 
 
@@ -245,7 +260,7 @@ def fit_hyperplane(cloud: PointCloud) -> FittedHyperplane:
     ------
     InvalidInputError
         Fewer than ``dim`` points, dim < 2, or a spread the scatter matrix
-        cannot represent (see ``_centroid_and_scatter``).
+        cannot represent (see ``_centred``).
     DegenerateGeometryError
         The points span a flat of dimension < dim-1, so infinitely many
         hyperplanes contain them; the spanned flat is reported on the error.
@@ -256,8 +271,8 @@ def fit_hyperplane(cloud: PointCloud) -> FittedHyperplane:
         raise InvalidInputError(
             f"hyperplane fit in dimension {cloud.dim} needs at least {cloud.dim} points"
         )
-    c, scatter = _centroid_and_scatter(cloud)
-    dec = eigen_symmetric(scatter)
+    c, b = _centred(cloud.points)
+    dec = eigen_symmetric(SymmetricMatrix(b.T @ b))
     values = dec.eigenvalues.tolist()
     cutoff = values[0] * RANK_TOLERANCE
     rank = sum(x > cutoff for x in values) if values[0] > 0.0 else 0
@@ -271,7 +286,7 @@ def fit_hyperplane(cloud: PointCloud) -> FittedHyperplane:
         )
     normal = dec.eigenvectors[-1]
     offset = -float(normal @ c)
-    distances = _plane_distances(cloud.points, c, normal)
+    distances = _plane_distances(b, normal)
     return FittedHyperplane(normal, c, offset, ResidualStats.from_distances(distances))
 
 
@@ -294,7 +309,7 @@ def distance_point_to_line(p, line: FittedLine) -> float:
 def distance_point_to_plane(p, plane: FittedHyperplane) -> float:
     """Shortest distance from a point to a fitted hyperplane: |normal.(p - centroid)|."""
     p = _check_dim(p, plane.dim, "distance_point_to_plane")
-    return float(_plane_distances(p, plane.centroid, plane.normal))
+    return float(_plane_distances(p[None] - plane.centroid, plane.normal)[0])
 
 
 def total_orthogonal_error(cloud: PointCloud, model) -> ResidualStats:
@@ -306,11 +321,11 @@ def total_orthogonal_error(cloud: PointCloud, model) -> ResidualStats:
     if isinstance(model, FittedLine):
         if cloud.dim != model.dim:
             raise InvalidInputError("cloud and line dimensions differ")
-        distances = _line_distances(cloud.points, model.anchor, model.direction)
+        distances = _line_distances(cloud.points - model.anchor, model.direction)
     elif isinstance(model, FittedHyperplane):
         if cloud.dim != model.dim:
             raise InvalidInputError("cloud and hyperplane dimensions differ")
-        distances = _plane_distances(cloud.points, model.centroid, model.normal)
+        distances = _plane_distances(cloud.points - model.centroid, model.normal)
     else:
         raise InvalidInputError("model must be a FittedLine or FittedHyperplane")
     return ResidualStats.from_distances(distances)

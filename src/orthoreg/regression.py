@@ -4,6 +4,11 @@ Minimizing squared *vertical* offsets is not symmetric in the variables:
 regressing y on x and x on y gives two different ("conjugate") lines. The
 orthogonal fit gives one line, lying inside the scissors the two classical
 lines form. ``compare_ols_tls`` computes all three side by side.
+
+The classical lines are built from the centred moments of x and y. Each
+coordinate is centred on its own by ``fitting._centred``, so each must have a
+spread a sum of squares can resolve (see there), or be constant; otherwise
+InvalidInputError is raised.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, InvalidInputError
-from .fitting import FittedLine, PointCloud, _column_means, fit_line
+from .fitting import FittedLine, PointCloud, _centred, fit_line
 
 
 class Orientation(enum.Enum):
@@ -39,6 +44,10 @@ class AffineLine2D:
             d = np.array([1.0, self.slope])
         else:
             d = np.array([self.slope, 1.0])
+        slope = float(self.slope)
+        if math.isinf(slope * slope):
+            # 1 + slope**2 overflows; (1, slope) / |slope| has norm 1 to the bit
+            return d / abs(slope)
         return d / np.linalg.norm(d)
 
 
@@ -80,9 +89,7 @@ def _clean_xy(xs, ys):
 
 
 def _moments(x, y):
-    with np.errstate(over="ignore", invalid="ignore"):
-        xm, ym = _column_means(x), _column_means(y)
-    dx, dy = x - xm, y - ym
+    (xm, dx), (ym, dy) = _centred(x), _centred(y)
     return xm, ym, float(dx @ dx), float(dy @ dy), float(dx @ dy)
 
 

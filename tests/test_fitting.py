@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orthoreg import (
@@ -11,11 +11,13 @@ from orthoreg import (
     InvalidInputError,
     PointCloud,
     centroid,
+    compare_ols_tls,
     eigen_symmetric,
     distance_point_to_line,
     distance_point_to_plane,
     fit_hyperplane,
     fit_line,
+    ols_line,
     scatter_matrix,
     total_orthogonal_error,
     trajectory,
@@ -114,6 +116,47 @@ class TestCentroidAndScatter:
             for fit in (fit_line, fit_hyperplane, scatter_matrix):
                 with pytest.raises(InvalidInputError, match="spread inf"):
                     fit(PointCloud(points))
+
+
+def _fit_constant_x(value, n):
+    """Line and plane fits and compare's report for the points (value, 0),
+    (value, 1), ..., (value, n - 1), with warnings as errors; ols_line must
+    find the xs constant."""
+    x, y = np.full(n, value), np.arange(n, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        line = fit_line(PointCloud(np.column_stack([x, y])))
+        plane = fit_hyperplane(PointCloud(np.column_stack([x, y])))
+        with pytest.raises(DegenerateGeometryError, match="xs are constant"):
+            ols_line(x, y)
+        report = compare_ols_tls(x, y)
+    return line, plane, report
+
+
+class TestConstantColumn:
+    """A constant column is centred on its value, even where the sum of its
+    entries or the quotient by n rounds the mean off it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 60), st.sampled_from([-1.0, 1.0]),
+           st.floats(min_value=1e154, max_value=np.finfo(float).max))
+    def test_beyond_the_resolvable_spread_of_its_mean(self, n, sign, value):
+        line, plane, report = _fit_constant_x(sign * value, n)
+        assert line.anchor[0] == plane.centroid[0] == sign * value
+        assert report.ols is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 60), st.sampled_from([-1.0, 1.0]),
+           st.floats(min_value=1e-300, max_value=1e154))
+    @example(3, 1.0, 3.0025617935164518e100)
+    def test_within_it_the_column_has_no_spread(self, n, sign, value):
+        line, plane, report = _fit_constant_x(sign * value, n)
+        assert line.anchor[0] == plane.centroid[0] == sign * value
+        assert line.direction.tolist() == [0.0, 1.0]
+        assert plane.normal.tolist() == [1.0, 0.0]
+        assert line.error.sum_sq == plane.error.sum_sq == 0.0
+        assert report.ols is None
+        assert (report.conjugate.slope, report.conjugate.intercept) == (0.0, sign * value)
 
 
 class TestFitLine:

@@ -1,9 +1,11 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from orthoreg import (
+    AffineLine2D,
     DegenerateGeometryError,
     InvalidInputError,
     Orientation,
@@ -143,6 +145,56 @@ class TestCompare:
         report = compare_ols_tls([0.0, 1.0, 2.0], [5.0, 5.0, 5.0])
         assert report.conjugate is None
         assert report.ols == ols_line([0.0, 1.0, 2.0], [5.0, 5.0, 5.0])
+
+
+class TestSpreadRule:
+    """Each coordinate of the classical lines must have a spread a sum of
+    squares can resolve (as for the fits), or be constant."""
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([1e200, -1e200, 0.0], [1.0, 2.0, 3.0]),
+        ([1.0, 2.0, 3.0], [1e200, -1e200, 0.0]),
+        ([0.0, 1e-170, 3e-170], [0.0, 1.0, 2.0]),
+        ([0.0, 1.0, 2.0], [0.0, 1e-170, 3e-170]),
+    ], ids=["huge-x", "huge-y", "tiny-x", "tiny-y"])
+    def test_unresolvable_spread_raises(self, xs, ys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fit in (ols_line, conjugate_line, compare_ols_tls):
+                with pytest.raises(InvalidInputError, match="spread"):
+                    fit(xs, ys)
+
+
+class TestSteepLines:
+    """A slope whose square overflows still gives a unit direction."""
+
+    @pytest.mark.parametrize("slope", [
+        3.0, -1e100, 1.3407807929942596e154, 1.3407807929942597e154, -1e200,
+        1.7976931348623157e308,
+    ])
+    def test_direction(self, slope):
+        for orientation in Orientation:
+            along = [1.0, slope] if orientation is Orientation.Y_ON_X else [slope, 1.0]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                direction = AffineLine2D(slope, 0.0, orientation).direction()
+            if math.isinf(slope * slope):
+                assert direction.tolist() == [x / abs(slope) for x in along]
+                assert math.hypot(*direction) == 1.0
+            else:
+                d = np.array(along)
+                assert direction.tobytes() == (d / np.linalg.norm(d)).tobytes()
+
+    def test_compare(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = compare_ols_tls([0.0, 1e-150, 2e-150], [0.0, 1e150, 3e150])
+        assert report.ols.slope == 1.5e300
+        assert report.ols.direction().tolist() == [1.0 / 1.5e300, 1.0]
+        angles = (report.angle_ols_conjugate_deg, report.angle_ols_tls_deg,
+                  report.angle_conjugate_tls_deg)
+        assert all(0.0 <= a <= 1e-100 for a in angles)
+        assert report.tls_between_scissors is True
 
 
 class TestProperties:

@@ -493,7 +493,10 @@ class TestCliExitCodes:
         ("fit", "0,0\n1e160,3e160\n2e160,6.1e160\n"),
         ("fit", "1.7e308,0\n1.7e308,1\n-1.7e308,2\n"),
         ("compare", "1.7e308,0\n1.7e308,1\n-1.7e308,2\n"),
-    ], ids=["compare-tiny", "fit-huge", "fit-centring-overflows", "compare-centring-overflows"])
+        ("compare", "0,0\n1e-170,1\n3e-170,2\n"),
+        ("compare", "0,0\n1,1e-170\n2,3e-170\n"),
+    ], ids=["compare-tiny", "fit-huge", "fit-centring-overflows", "compare-centring-overflows",
+            "compare-tiny-x-spread", "compare-tiny-y-spread"])
     def test_unresolvable_spread_is_3(self, tmp_path, capsys, command, rows):
         data = tmp_path / "points.csv"
         data.write_text("x,y\n" + rows, encoding="utf-8")
@@ -506,6 +509,16 @@ class TestCliExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "spread" in captured.err
+
+    def test_steep_classical_line_is_0(self, tmp_path, capsys):
+        data = tmp_path / "points.csv"
+        data.write_text("x,y\n0,0\n1e-150,1e150\n2e-150,3e150\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["compare", "--input", str(data)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["ols"]["slope"] == 1.5e300
+        assert all(0.0 <= angle <= 1e-100 for angle in out["angles_deg"].values())
 
     @pytest.mark.parametrize("command", ["fit", "compare"])
     def test_constant_x_near_the_float_maximum_is_0(self, tmp_path, capsys, command):

@@ -13,8 +13,9 @@ class DegenerateGeometryError(OrthoregError):
     """The data does not determine the requested fit (e.g. all points identical,
     or the cloud spans a flat of too low a dimension for a unique hyperplane).
 
-    When raised by the hyperplane fit, ``flat_dim``, ``flat_point`` and
-    ``flat_basis`` describe the flat actually spanned by the data.
+    When raised by a line or hyperplane fit, ``flat_dim``, ``flat_point`` and
+    ``flat_basis`` describe the flat actually spanned by the data (a point,
+    with a basis of shape (0, dim), when all points are identical).
     """
 
     def __init__(self, message, flat_dim=None, flat_point=None, flat_basis=None):

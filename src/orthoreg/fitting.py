@@ -1,16 +1,16 @@
 """Orthogonal-distance (total least squares) fitting of lines and hyperplanes.
 
 A flat is fitted to an n-dimensional point cloud by minimizing the sum of
-squared shortest distances from the points to the flat. Both fits go through
-the principal axes of the centered scatter matrix: the largest-eigenvalue axis
-is the best line direction, the smallest-eigenvalue axis is the best
-hyperplane normal. Unlike a classical regression, the result does not depend
-on which coordinate is declared "dependent", and it is invariant under rigid
-motions of the data.
+squared shortest distances from the points to the flat. Unlike a classical
+regression, the result does not depend on which coordinate is declared
+"dependent", and it is invariant under rigid motions of the data.
 
-Every centring goes through ``_centred``, which also applies the spread rule.
-The fits take both the scatter matrix and the residuals from its centred
-points; the classical lines in ``regression`` centre each coordinate with it.
+Both fits are one k-flat fit (Pearson 1901), ``_principal_axes``: the
+principal axes of the centred scatter matrix, with k = 1 for a line (its
+direction is the first axis) and k = dim - 1 for a hyperplane (its normal is
+the last). Every centring goes through ``_centre``; ``_centred`` adds the
+spread rule. The fits take the residuals from the same centred points; the
+classical lines in ``regression`` centre each coordinate with ``_centred``.
 """
 
 from __future__ import annotations
@@ -154,18 +154,12 @@ def _column_means(a: np.ndarray) -> np.ndarray:
     return np.clip(mean, a.min(axis=0), a.max(axis=0))
 
 
-def _centred(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _centre(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The centre ``c`` of the points ``a`` (or of one coordinate's values)
     and the centred points ``a - c``.
 
     ``c`` is the column mean, but a constant column is centred on its value:
     its rounded mean can be up to n ulps off, as its first centred entry is.
-
-    The spread of the points, their largest |p - c|, must lie in
-    [2**-511, 2**511 / sqrt(a.size)]: below it the squares leave the normal
-    float range, above it the trace overflows. Outside it InvalidInputError
-    is raised; a spread of 0 (identical points) is allowed. A coordinate of
-    ``p - c`` beyond the float range is infinite, so its spread is rejected.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         c = _column_means(a)
@@ -174,6 +168,16 @@ def _centred(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if any(0.0 < abs(x) <= len(a) * math.ulp(v) for x, v in pairs):
             c = np.where((a == a[0]).all(axis=0), a[0], c)[()]
             b = a - c
+    return c, b
+
+
+def _centred(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_centre(a)``, whose spread, the largest |p - c|, must be 0 (identical
+    points) or lie in [2**-511, 2**511 / sqrt(a.size)]: below it the squares
+    leave the normal float range, above it the trace overflows, and beyond
+    the float range ``p - c`` is infinite. Otherwise InvalidInputError.
+    """
+    c, b = _centre(a)
     spread = max(float(b.max()), -float(b.min()))
     if spread and not 2.0**-511 <= spread <= 2.0**511 / math.sqrt(b.size):
         raise InvalidInputError(
@@ -184,11 +188,9 @@ def _centred(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def centroid(cloud: PointCloud) -> np.ndarray:
-    """Coordinate-wise mean of the cloud. Every fitted flat passes through it,
-    up to the few ulps by which it can miss the value of a constant column
-    (a fit centres such a column on its value; see ``_centred``)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _column_means(cloud.points)
+    """Coordinate-wise mean of the cloud, with a constant column centred on
+    its value (see ``_centre``). Every fitted flat passes through it."""
+    return _centre(cloud.points)[0]
 
 
 def scatter_matrix(cloud: PointCloud) -> SymmetricMatrix:
@@ -201,8 +203,33 @@ def scatter_matrix(cloud: PointCloud) -> SymmetricMatrix:
     return SymmetricMatrix(b.T @ b)
 
 
-def _all_points_identical(cloud: PointCloud) -> bool:
-    return bool((cloud.points == cloud.points[0]).all())
+def _principal_axes(cloud: PointCloud, k: int, name: str):
+    """The centre ``c``, centred points ``b`` and principal axes (rows, by
+    decreasing eigenvalue) of a cloud to be fitted by a k-flat, a ``name``.
+
+    InvalidInputError: dim < 2, fewer than k + 1 points, or a spread that
+    ``_centred`` rejects. DegenerateGeometryError, with the spanned flat: a
+    rank (eigenvalues above RANK_TOLERANCE times the largest) below k.
+    """
+    dim = cloud.dim
+    if dim < 2:
+        raise InvalidInputError(f"{name} fit needs dimension >= 2")
+    if len(cloud) < k + 1:
+        raise InvalidInputError(f"{name} fit in dimension {dim} needs at least {k + 1} points")
+    c, b = _centred(cloud.points)
+    dec = eigen_symmetric(SymmetricMatrix(b.T @ b))
+    values = dec.eigenvalues.tolist()
+    cutoff = values[0] * RANK_TOLERANCE
+    rank = sum(x > cutoff for x in values) if values[0] > 0.0 else 0
+    if rank < k:
+        raise DegenerateGeometryError(
+            f"points span only a {rank}-dimensional flat; "
+            f"a {name} in dimension {dim} is not unique",
+            flat_dim=rank,
+            flat_point=c,
+            flat_basis=dec.eigenvectors[:rank].copy(),
+        )
+    return c, b, dec.eigenvectors
 
 
 def _line_distances(b: np.ndarray, direction: np.ndarray) -> np.ndarray:
@@ -232,20 +259,10 @@ def fit_line(cloud: PointCloud) -> FittedLine:
         Fewer than 2 points, dim < 2, or a spread the scatter matrix cannot
         represent (see ``_centred``).
     DegenerateGeometryError
-        All points identical (no direction is distinguished).
+        All points identical; the error reports them as a 0-dimensional flat.
     """
-    if len(cloud) < 2:
-        raise InvalidInputError("line fit needs at least 2 points")
-    if cloud.dim < 2:
-        raise InvalidInputError("line fit needs dimension >= 2")
-    if _all_points_identical(cloud):
-        raise DegenerateGeometryError(
-            "all points identical: any direction fits equally well",
-            flat_dim=0,
-            flat_point=cloud.points[0].copy(),
-        )
-    anchor, b = _centred(cloud.points)
-    direction = eigen_symmetric(SymmetricMatrix(b.T @ b)).eigenvectors[0]
+    anchor, b, axes = _principal_axes(cloud, 1, "line")
+    direction = axes[0]
     distances = _line_distances(b, direction)
     return FittedLine(anchor, direction, ResidualStats.from_distances(distances))
 
@@ -265,26 +282,8 @@ def fit_hyperplane(cloud: PointCloud) -> FittedHyperplane:
         The points span a flat of dimension < dim-1, so infinitely many
         hyperplanes contain them; the spanned flat is reported on the error.
     """
-    if cloud.dim < 2:
-        raise InvalidInputError("hyperplane fit needs dimension >= 2")
-    if len(cloud) < cloud.dim:
-        raise InvalidInputError(
-            f"hyperplane fit in dimension {cloud.dim} needs at least {cloud.dim} points"
-        )
-    c, b = _centred(cloud.points)
-    dec = eigen_symmetric(SymmetricMatrix(b.T @ b))
-    values = dec.eigenvalues.tolist()
-    cutoff = values[0] * RANK_TOLERANCE
-    rank = sum(x > cutoff for x in values) if values[0] > 0.0 else 0
-    if rank < cloud.dim - 1:
-        raise DegenerateGeometryError(
-            f"points span only a {rank}-dimensional flat; "
-            f"a hyperplane in dimension {cloud.dim} is not unique",
-            flat_dim=rank,
-            flat_point=c,
-            flat_basis=dec.eigenvectors[:rank].copy(),
-        )
-    normal = dec.eigenvectors[-1]
+    c, b, axes = _principal_axes(cloud, cloud.dim - 1, "hyperplane")
+    normal = axes[-1]
     offset = -float(normal @ c)
     distances = _plane_distances(b, normal)
     return FittedHyperplane(normal, c, offset, ResidualStats.from_distances(distances))
@@ -302,8 +301,7 @@ def _check_dim(p: np.ndarray, expected: int, what: str) -> np.ndarray:
 def distance_point_to_line(p, line: FittedLine) -> float:
     """Shortest (perpendicular) distance from a point to a fitted line."""
     p = _check_dim(p, line.dim, "distance_point_to_line")
-    r = p - line.anchor
-    return float(np.linalg.norm(r - (r @ line.direction) * line.direction))
+    return float(_line_distances(p[None] - line.anchor, line.direction)[0])
 
 
 def distance_point_to_plane(p, plane: FittedHyperplane) -> float:

@@ -85,7 +85,14 @@ class TestCentroidAndScatter:
             n, dim = int(rng.integers(1, 300)), int(rng.integers(1, 6))
             points = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-150, 150, dim)
             points += rng.normal(size=dim) * 10.0 ** float(rng.uniform(-150, 150))
-            assert centroid(PointCloud(points)).tobytes() == points.mean(axis=0).tobytes()
+            expected = np.where((points == points[0]).all(axis=0), points[0], points.mean(axis=0))
+            assert centroid(PointCloud(points)).tobytes() == expected.tobytes()
+
+    def test_centroid_is_the_fits_anchor_on_a_constant_column(self):
+        points = np.column_stack([np.full(3, 3.0025617935164518e100), np.arange(3.0)])
+        cloud = PointCloud(points)
+        assert centroid(cloud)[0] == points[0, 0]
+        assert centroid(cloud).tobytes() == fit_line(cloud).anchor.tobytes()
 
     def test_constant_column_near_the_float_maximum(self):
         points = np.array([[1.5e308, 0.0], [1.5e308, 1.0], [1.5e308, 2.5]])
@@ -186,6 +193,17 @@ class TestFitLine:
             fit_line(PointCloud([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]]))
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+@pytest.mark.parametrize("fit", [fit_line, fit_hyperplane])
+def test_identical_points_span_a_point(fit, dim):
+    point = np.random.default_rng(dim).normal(size=dim) * 1e3
+    with pytest.raises(DegenerateGeometryError, match="0-dimensional flat") as info:
+        fit(PointCloud(np.tile(point, (dim + 2, 1))))
+    assert info.value.flat_dim == 0
+    assert info.value.flat_point.tobytes() == point.tobytes()
+    assert info.value.flat_basis.shape == (0, dim)
+
+
 class TestFitHyperplane:
     def test_exact_plane(self):
         cloud = PointCloud([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
@@ -245,6 +263,17 @@ class TestDistances:
         line = fit_line(five_points_cloud)
         with pytest.raises(InvalidInputError):
             distance_point_to_line([1.0, 2.0, 3.0], line)
+
+    def test_line_distance_is_the_residual_bits(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            dim = int(rng.integers(2, 6))
+            offset = rng.normal(size=dim) * 10.0 ** float(rng.uniform(0, 8))
+            cloud = PointCloud(rng.normal(size=(int(rng.integers(2, 30)), dim)) + offset)
+            line = fit_line(cloud)
+            for p in cloud.points:
+                single = total_orthogonal_error(PointCloud(p[None]), line).per_point_distance
+                assert distance_point_to_line(p, line) == single[0]
 
     def test_point_on_plane(self):
         plane = fit_hyperplane(PointCloud([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]))

@@ -9,13 +9,22 @@ Both fits are one k-flat fit (Pearson 1901), ``_principal_axes``: the
 principal axes of the centred scatter matrix, with k = 1 for a line (its
 direction is the first axis) and k = dim - 1 for a hyperplane (its normal is
 the last). Every centring goes through ``_centre``; ``_centred`` adds the
-spread rule. The fits take the residuals from the same centred points; the
-classical lines in ``regression`` centre each coordinate with ``_centred``.
+spread rule. The classical lines in ``regression`` centre each coordinate
+with ``_centred``.
+
+Residuals are one pass, ``_distances``, for the fits, ``total_orthogonal_error``
+and the point distances alike. It takes the points in blocks of ``_BLOCK``
+rows and centres each block on the flat's centre as it goes (``a[i:j] - c``
+is ``(a - c)[i:j]`` to the bit), so its temporaries are a few blocks whatever
+the cloud's size, and a fit's centred copy is freed once the scatter matrix
+is formed. ``_checked_distances`` adds the rescue of distances whose squares
+leave the float range; a fit's spread rule already rules them out.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +42,9 @@ DEFAULT_ERROR_METRIC = "sum_abs"
 
 #: Relative eigenvalue cutoff below which a principal axis counts as unspread.
 RANK_TOLERANCE = 1e-12
+
+#: Rows per block of the residual pass (see ``_distances``).
+_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -52,7 +64,8 @@ class PointCloud:
             raise InvalidInputError("points must be a 2-D array of shape (n, dim)")
         if pts.shape[0] < 1 or pts.shape[1] < 1:
             raise InvalidInputError("point cloud needs at least one point and one dimension")
-        if not np.isfinite(pts).all():
+        # min and max propagate NaN, and they allocate no (n, dim) mask.
+        if not (math.isfinite(pts.min()) and math.isfinite(pts.max())):
             raise InvalidInputError("point coordinates must be finite")
         object.__setattr__(self, "points", pts)
         if self.labels is not None:
@@ -204,8 +217,9 @@ def scatter_matrix(cloud: PointCloud) -> SymmetricMatrix:
 
 
 def _principal_axes(cloud: PointCloud, k: int, name: str):
-    """The centre ``c``, centred points ``b`` and principal axes (rows, by
-    decreasing eigenvalue) of a cloud to be fitted by a k-flat, a ``name``.
+    """The centre ``c`` and principal axes (rows, by decreasing eigenvalue)
+    of a cloud to be fitted by a k-flat, a ``name``. The centred points are
+    freed once their scatter matrix is formed.
 
     InvalidInputError: dim < 2, fewer than k + 1 points, or a spread that
     ``_centred`` rejects. DegenerateGeometryError, with the spanned flat: a
@@ -217,7 +231,9 @@ def _principal_axes(cloud: PointCloud, k: int, name: str):
     if len(cloud) < k + 1:
         raise InvalidInputError(f"{name} fit in dimension {dim} needs at least {k + 1} points")
     c, b = _centred(cloud.points)
-    dec = eigen_symmetric(SymmetricMatrix(b.T @ b))
+    scatter = SymmetricMatrix(b.T @ b)
+    del b
+    dec = eigen_symmetric(scatter)
     values = dec.eigenvalues.tolist()
     cutoff = values[0] * RANK_TOLERANCE
     rank = sum(x > cutoff for x in values) if values[0] > 0.0 else 0
@@ -229,22 +245,64 @@ def _principal_axes(cloud: PointCloud, k: int, name: str):
             flat_point=c,
             flat_basis=dec.eigenvectors[:rank].copy(),
         )
-    return c, b, dec.eigenvectors
+    return c, dec.eigenvectors
 
 
-def _line_distances(b: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """Orthogonal distance of each point of ``b``, centred on the line's
-    anchor, to the line t * direction."""
-    r = b - np.outer(b @ direction, direction)
-    return np.sqrt(np.add.reduce(r * r, axis=1))
+def _distances(points: np.ndarray, origin: np.ndarray, u: np.ndarray, line: bool) -> np.ndarray:
+    """Orthogonal distance of each row of ``points`` to the flat through
+    ``origin``: the line along the unit vector ``u`` if ``line``, else the
+    hyperplane with unit normal ``u``.
+
+    Each block of ``_BLOCK`` rows is centred on ``origin`` first, as
+    ``normal . p + offset`` cancels when the points lie far from the origin.
+    Nothing overflows where the points' spread about ``origin`` passes
+    ``_centred``'s rule, as in a fit; ``_checked_distances`` takes any points.
+    """
+    n = points.shape[0]
+    d = np.empty(n)
+    i = 0
+    while i < n:
+        # A lone last row would be its own block, whose ``q @ u`` numpy takes
+        # as a vector dot, not gemv, with other bits: it joins the block
+        # before it.
+        j = i + _BLOCK if n - i > _BLOCK + 1 else n
+        q = points[i:j] - origin
+        if line:
+            q -= (q @ u)[:, None] * u
+            d[i:j] = np.sqrt(np.add.reduce(q * q, axis=1))
+        else:
+            d[i:j] = np.abs(q @ u)
+        i = j
+    return d
 
 
-def _plane_distances(b: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    """Orthogonal distance of each point of ``b``, centred on the centroid of
-    the hyperplane with unit ``normal``. Centred, as ``normal . p + offset``
-    cancels when the points lie far from the origin."""
-    d = b @ normal
-    return np.abs(d, out=d)
+def _checked_distances(points: np.ndarray, origin: np.ndarray, u: np.ndarray, line: bool) -> np.ndarray:
+    """``_distances`` of points at any distance from the flat, without a
+    RuntimeWarning; a distance is ``inf`` only where it exceeds the float
+    range.
+
+    Rows whose distance overflows or comes out NaN (a square, a dot product
+    or ``p - origin`` beyond the float range) are taken again with the row
+    and ``origin`` scaled by a power of two 2**-e that brings them below 1;
+    a line's residual is scaled again by its largest entry before it is
+    squared. The other rows keep their bits.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = _distances(points, origin, u, line)
+        if math.isfinite(d.max()):
+            return d
+        far = ~np.isfinite(d)
+        p = points[far]
+        e = np.frexp(np.maximum(np.abs(p).max(axis=1), np.abs(origin).max()))[1]
+        q = np.ldexp(p, -e[:, None]) - np.ldexp(origin, -e[:, None])
+        if line:
+            r = q - (q @ u)[:, None] * u
+            f = np.frexp(np.abs(r).max(axis=1))[1]
+            r = np.ldexp(r, -f[:, None])
+            d[far] = np.ldexp(np.sqrt(np.add.reduce(r * r, axis=1)), e + f)
+        else:
+            d[far] = np.ldexp(np.abs(q @ u), e)
+    return d
 
 
 def fit_line(cloud: PointCloud) -> FittedLine:
@@ -261,9 +319,9 @@ def fit_line(cloud: PointCloud) -> FittedLine:
     DegenerateGeometryError
         All points identical; the error reports them as a 0-dimensional flat.
     """
-    anchor, b, axes = _principal_axes(cloud, 1, "line")
+    anchor, axes = _principal_axes(cloud, 1, "line")
     direction = axes[0]
-    distances = _line_distances(b, direction)
+    distances = _distances(cloud.points, anchor, direction, True)
     return FittedLine(anchor, direction, ResidualStats.from_distances(distances))
 
 
@@ -282,10 +340,10 @@ def fit_hyperplane(cloud: PointCloud) -> FittedHyperplane:
         The points span a flat of dimension < dim-1, so infinitely many
         hyperplanes contain them; the spanned flat is reported on the error.
     """
-    c, b, axes = _principal_axes(cloud, cloud.dim - 1, "hyperplane")
+    c, axes = _principal_axes(cloud, cloud.dim - 1, "hyperplane")
     normal = axes[-1]
     offset = -float(normal @ c)
-    distances = _plane_distances(b, normal)
+    distances = _distances(cloud.points, c, normal, False)
     return FittedHyperplane(normal, c, offset, ResidualStats.from_distances(distances))
 
 
@@ -298,16 +356,23 @@ def _check_dim(p: np.ndarray, expected: int, what: str) -> np.ndarray:
     return p
 
 
+def _point_distance(p, origin: np.ndarray, u: np.ndarray, line: bool, what: str) -> float:
+    d = float(_checked_distances(_check_dim(p, u.shape[0], what)[None], origin, u, line)[0])
+    if d == math.inf:
+        raise InvalidInputError(f"{what}: the distance exceeds the float range")
+    return d
+
+
 def distance_point_to_line(p, line: FittedLine) -> float:
-    """Shortest (perpendicular) distance from a point to a fitted line."""
-    p = _check_dim(p, line.dim, "distance_point_to_line")
-    return float(_line_distances(p[None] - line.anchor, line.direction)[0])
+    """Shortest (perpendicular) distance from a point to a fitted line.
+    InvalidInputError if it exceeds the float range."""
+    return _point_distance(p, line.anchor, line.direction, True, "distance_point_to_line")
 
 
 def distance_point_to_plane(p, plane: FittedHyperplane) -> float:
-    """Shortest distance from a point to a fitted hyperplane: |normal.(p - centroid)|."""
-    p = _check_dim(p, plane.dim, "distance_point_to_plane")
-    return float(_plane_distances(p[None] - plane.centroid, plane.normal)[0])
+    """Shortest distance from a point to a fitted hyperplane: |normal.(p - centroid)|.
+    InvalidInputError if it exceeds the float range."""
+    return _point_distance(p, plane.centroid, plane.normal, False, "distance_point_to_plane")
 
 
 def total_orthogonal_error(cloud: PointCloud, model) -> ResidualStats:
@@ -315,18 +380,25 @@ def total_orthogonal_error(cloud: PointCloud, model) -> ResidualStats:
 
     This is the quantity the fits minimize (in its sum-of-squares form), so
     for the model fitted to ``cloud`` it reproduces ``model.error``.
+    InvalidInputError if the sum of squared distances exceeds the float range.
     """
     if isinstance(model, FittedLine):
-        if cloud.dim != model.dim:
-            raise InvalidInputError("cloud and line dimensions differ")
-        distances = _line_distances(cloud.points - model.anchor, model.direction)
+        name, origin, u = "line", model.anchor, model.direction
     elif isinstance(model, FittedHyperplane):
-        if cloud.dim != model.dim:
-            raise InvalidInputError("cloud and hyperplane dimensions differ")
-        distances = _plane_distances(cloud.points - model.centroid, model.normal)
+        name, origin, u = "hyperplane", model.centroid, model.normal
     else:
         raise InvalidInputError("model must be a FittedLine or FittedHyperplane")
-    return ResidualStats.from_distances(distances)
+    if cloud.dim != model.dim:
+        raise InvalidInputError(f"cloud and {name} dimensions differ")
+    distances = _checked_distances(cloud.points, origin, u, name == "line")
+    with np.errstate(over="ignore"):
+        stats = ResidualStats.from_distances(distances)
+    if not math.isfinite(stats.sum_sq):
+        raise InvalidInputError(
+            f"points lie up to {float(distances.max()):.3g} from the {name}; a sum of "
+            f"squared distances needs them within about {math.sqrt(sys.float_info.max / len(cloud)):.3g}"
+        )
+    return stats
 
 
 __all__ = [

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -57,6 +58,35 @@ def best_candidate_line_sum_sq(points: np.ndarray, rng: np.random.Generator, can
     offsets = points[None, :, :] - anchors[:, None, :]
     dists = np.abs(np.einsum("cpk,ck->cp", offsets, normals))
     return float((dists**2).sum(axis=1).min())
+
+
+def reference_line_distances(points: np.ndarray, origin: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Distances to the line through ``origin`` along ``u`` as one unblocked
+    expression over all rows: the residual pass before it took row blocks."""
+    b = points - origin
+    r = b - np.outer(b @ u, u)
+    return np.sqrt(np.add.reduce(r * r, axis=1))
+
+
+def reference_plane_distances(points: np.ndarray, origin: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Distances to the hyperplane through ``origin`` with unit normal ``u``,
+    unblocked, as ``reference_line_distances``."""
+    d = (points - origin) @ u
+    return np.abs(d, out=d)
+
+
+def exact_line_distance(p, origin, u) -> float:
+    """Distance from ``p`` to the line through ``origin`` along ``u``, in
+    exact rational arithmetic on the given floats (``u`` need not be exactly
+    unit), rounded once at the end. Finite wherever the distance is."""
+    q = [Fraction(float(a)) - Fraction(float(o)) for a, o in zip(p, origin)]
+    v = [Fraction(float(x)) for x in u]
+    qu = sum(a * b for a, b in zip(q, v))
+    sq = sum(a * a for a in q) - qu * qu / sum(b * b for b in v)
+    if sq == 0:
+        return 0.0
+    k = (sq.numerator.bit_length() - sq.denominator.bit_length()) // 2
+    return math.ldexp(math.sqrt(sq / 4**k), k)
 
 
 def reference_parse_indicator_csv(text: str, delimiter: str = ",") -> list[IndicatorSeries]:

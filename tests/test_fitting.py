@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -24,7 +25,16 @@ from orthoreg import (
     v4_dataset,
 )
 
-from _helpers import best_candidate_line_sum_sq, random_rotation, same_up_to_sign
+from orthoreg.fitting import _BLOCK, FittedHyperplane, FittedLine, ResidualStats, _distances
+
+from _helpers import (
+    best_candidate_line_sum_sq,
+    exact_line_distance,
+    random_rotation,
+    reference_line_distances,
+    reference_plane_distances,
+    same_up_to_sign,
+)
 
 SK_REFERENCE_NORMAL = np.array([0.6704, 0.7195, -0.1811])
 PL_REFERENCE_NORMAL = np.array([-0.4083, -0.9059, 0.1123])
@@ -40,6 +50,16 @@ def pl_cloud():
     return trajectory(pl)
 
 
+def _traced_peak(call):
+    """Bytes allocated at the peak of ``call()``, above what was live before."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestPointCloud:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -51,6 +71,15 @@ class TestPointCloud:
         cloud = PointCloud([[1, 2], [3, 4]], labels=("p", "q"))
         assert cloud.dim == 2 and len(cloud) == 2
         assert cloud.points.dtype == float
+
+    def test_nan_is_rejected(self):
+        with pytest.raises(InvalidInputError, match="point coordinates must be finite"):
+            PointCloud([[1.0, 2.0], [np.nan, 3.0]])
+
+    def test_validation_allocates_no_mask(self):
+        """The finiteness check allocates less than a bool per coordinate."""
+        points = np.random.default_rng(0).normal(size=(100_000, 3))
+        assert _traced_peak(lambda: PointCloud(points)) < points.size // 2
 
     def test_from_columns(self):
         cloud = PointCloud.from_columns([1, 2], [3, 4], labels=("a", "b"))
@@ -355,6 +384,108 @@ class TestTotalOrthogonalError:
         assert stats.metric("sum_abs") == stats.sum_abs
         with pytest.raises(InvalidInputError):
             stats.metric("median")
+
+
+class TestBlockedResiduals:
+    """The residual pass takes row blocks; across block edges its bits are
+    those of the unblocked expressions in ``_helpers``."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
+    def test_same_bits_as_one_unblocked_pass(self, n, dim):
+        rng = np.random.default_rng(n * 10 + dim)
+        offset = rng.normal(size=dim) * 10.0 ** float(rng.uniform(0, 8))
+        cloud = PointCloud(rng.normal(size=(n, dim)) * rng.uniform(0.1, 3.0, size=dim) + offset)
+        origin = rng.normal(size=dim) + offset
+        u = rng.normal(size=dim)
+        u /= np.linalg.norm(u)
+        assert (_distances(cloud.points, origin, u, True).tobytes()
+                == reference_line_distances(cloud.points, origin, u).tobytes())
+        assert (_distances(cloud.points, origin, u, False).tobytes()
+                == reference_plane_distances(cloud.points, origin, u).tobytes())
+        if n < dim:
+            return
+        line, plane = fit_line(cloud), fit_hyperplane(cloud)
+        cases = [
+            (line, reference_line_distances(cloud.points, line.anchor, line.direction)),
+            (plane, reference_plane_distances(cloud.points, plane.centroid, plane.normal)),
+        ]
+        for model, expected in cases:
+            expected = ResidualStats.from_distances(expected)
+            for stats in (model.error, total_orthogonal_error(cloud, model)):
+                assert stats.per_point_distance.tobytes() == expected.per_point_distance.tobytes()
+                assert (stats.sum_sq, stats.sum_abs) == (expected.sum_sq, expected.sum_abs)
+
+
+class TestResidualMemory:
+    """The residual pass holds a few blocks of rows, not copies of the cloud:
+    a fit peaks at its centred copy, ``total_orthogonal_error`` at its
+    distances."""
+
+    N, DIM = 300_000, 3
+    #: Four blocks of rows, plus room for small Python objects.
+    SLACK = 4 * _BLOCK * DIM * 8 + 2**16
+
+    @pytest.fixture(scope="class")
+    def cloud(self):
+        rng = np.random.default_rng(5)
+        return PointCloud(rng.normal(size=(self.N, self.DIM)) * [3.0, 1.0, 0.1] + 1e3)
+
+    @pytest.mark.parametrize("fit", [fit_line, fit_hyperplane])
+    def test_fit_peaks_at_one_centred_copy(self, cloud, fit):
+        assert _traced_peak(lambda: fit(cloud)) <= cloud.points.nbytes + self.SLACK
+
+    @pytest.mark.parametrize("fit", [fit_line, fit_hyperplane])
+    def test_total_orthogonal_error_peaks_at_its_distances(self, cloud, fit):
+        model = fit(cloud)
+        peak = _traced_peak(lambda: total_orthogonal_error(cloud, model))
+        assert peak <= 8 * self.N + self.SLACK
+
+
+def _steep_line():
+    return fit_line(PointCloud([[0.0, 0.0], [1.0, 3.0], [2.0, 6.1], [3.0, 8.9]]))
+
+
+class TestFarPoints:
+    """Distances whose squares, dot products or ``p - origin`` leave the
+    float range are still found, without a RuntimeWarning, where they are
+    representable; otherwise InvalidInputError, never inf or nan."""
+
+    @pytest.mark.parametrize("p", [[1e200, -1e200], [1.5e308, 1e308], [1.6e308, 1.6e308]])
+    def test_line_distance_beyond_the_squares_range(self, p):
+        line = _steep_line()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = distance_point_to_line(p, line)
+        assert d == pytest.approx(exact_line_distance(p, line.anchor, line.direction), rel=1e-12)
+
+    def test_unrepresentable_distance_raises(self):
+        line = fit_line(PointCloud([[0.0, 0.0], [1.0, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="float range"):
+                distance_point_to_line([1.7e308, -1.7e308], line)
+            with pytest.raises(InvalidInputError, match="float range"):
+                distance_point_to_plane([1.7e308, -1.7e308], fit_hyperplane(PointCloud([[0.0, 0.0], [1.0, 1.0]])))
+
+    def test_overflowing_sum_of_squares_raises(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="squared distances"):
+                total_orthogonal_error(PointCloud([[1.7e308, 0.0], [1.7e308, 1.0]]), _steep_line())
+
+    def test_offset_beyond_the_float_range(self):
+        """``p - origin`` overflows, yet the distance is small."""
+        stats = ResidualStats.from_distances([0.0])
+        line = FittedLine(np.array([-1e308, 0.0]), np.array([1.0, 0.0]), stats)
+        plane = FittedHyperplane(np.array([0.0, 1.0]), np.array([-1e308, 2.0]), -2.0, stats)
+        cloud = PointCloud([[1.7e308, 3.0], [1.7e308, 2.0], [0.0, 2.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert distance_point_to_line([1.7e308, 3.0], line) == 3.0
+            assert distance_point_to_plane([1.7e308, 3.0], plane) == 1.0
+            assert total_orthogonal_error(cloud, line).per_point_distance.tolist() == [3.0, 2.0, 2.5]
+            assert total_orthogonal_error(cloud, plane).per_point_distance.tolist() == [1.0, 0.0, 0.5]
 
 
 class TestGeometricInvariances:

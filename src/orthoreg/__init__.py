@@ -6,7 +6,7 @@ contrasts the result with classical least squares, and applies the method to
 state-space trajectories of national economies.
 """
 
-from .eigen import EigenDecomposition, SymmetricMatrix, eigen_symmetric
+from .eigen import EigenDecomposition, eigen_symmetric
 from .errors import (
     DegenerateGeometryError,
     InvalidInputError,
@@ -63,7 +63,6 @@ __all__ = [
     "SchemaError",
     "ParseError",
     # eigen
-    "SymmetricMatrix",
     "EigenDecomposition",
     "eigen_symmetric",
     # fitting

@@ -322,6 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_fit(args):
     # The metadata keys and their order are part of the json and csv output.
+    if args.projection is not None and not args.plot:
+        raise UsageError("--projection applies only with --plot")
     if args.input == BUILTIN_V4:
         if (args.columns, args.label_column, args.delimiter) != (None, None, None):
             raise UsageError(

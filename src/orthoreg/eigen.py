@@ -4,15 +4,17 @@ Self-contained (no LAPACK): the scatter matrices this package diagonalizes are
 tiny (order 2..5), where Jacobi is accurate, simple, and keeps the working
 matrix exactly symmetric at every step.
 
-Between the input array and the returned arrays everything runs on Python
-lists of floats: validation, symmetrizing, the power-of-two scaling, the
-norms, the rotations, the sort and the sign fix. At this size a numpy call
-costs far more in dispatch than in arithmetic. The rotations do the same IEEE
-operations in the same order as the array form with masked updates (kept in
-the tests as the reference), so the eigenpairs are the same to the bit. The
-norm and the per-sweep off-diagonal mass are sums of squares, and one ulp in
-the convergence test can change the number of sweeps, so ``_pairwise_sum``
-adds them in the order ``np.add.reduce`` uses on a contiguous float64 array.
+The input must be exactly symmetric, as the fits' scatter matrix ``b.T @ b``
+is (numpy mirrors one triangle); nothing is symmetrized. Between the input
+array and the returned arrays everything runs on Python lists of floats:
+validation, the power-of-two scaling, the norms, the rotations, the sort and
+the sign fix. At this size a numpy call costs far more in dispatch than in
+arithmetic. The rotations do the same IEEE operations in the same order as
+the array form with masked updates (kept in the tests as the reference), so
+the eigenpairs are the same to the bit. The norm and the per-sweep
+off-diagonal mass are sums of squares, and one ulp in the convergence test
+can change the number of sweeps, so ``_pairwise_sum`` adds them in the order
+``np.add.reduce`` uses on a contiguous float64 array.
 ``tests/test_eigen.py::test_pairwise_sum_matches_numpy`` pins that order
 against the installed numpy.
 """
@@ -38,69 +40,6 @@ OFF_DIAGONAL_TOLERANCE = 1e-14
 #: Components smaller than this are treated as zero when fixing eigenvector signs.
 SIGN_TOLERANCE = 1e-12
 
-#: Largest asymmetry, relative to the largest entry, that from_array averages away.
-ASYMMETRY_TOLERANCE = 1e-12
-
-
-def _square_finite(array) -> tuple[np.ndarray, list[list[float]]]:
-    """``array`` as a float array and as a list of rows, checked to be square
-    of order >= 1 with finite entries."""
-    a = np.asarray(array, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise InvalidInputError("symmetric matrix must be square of order >= 1")
-    rows = a.tolist()
-    if not all(map(math.isfinite, chain.from_iterable(rows))):
-        raise InvalidInputError("symmetric matrix entries must be finite")
-    return a, rows
-
-
-def _is_symmetric(rows: list[list[float]]) -> bool:
-    return list(zip(*rows)) == list(map(tuple, rows))
-
-
-@dataclass(frozen=True)
-class SymmetricMatrix:
-    """A real symmetric matrix, stored exactly symmetric (entries[i,j] == entries[j,i])."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a, rows = _square_finite(self.entries)
-        if not _is_symmetric(rows):
-            raise InvalidInputError(
-                "entries are not exactly symmetric; use SymmetricMatrix.from_array"
-            )
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0]
-
-    @classmethod
-    def from_array(cls, array) -> "SymmetricMatrix":
-        """Build from a nearly-symmetric array, symmetrizing exactly.
-
-        Asymmetry beyond ASYMMETRY_TOLERANCE relative to the largest entry is an
-        error rather than something to silently average away. An exactly
-        symmetric array is kept as it is; otherwise each pair becomes its
-        mean ``0.5 * (x + y)``, or ``0.5 * x + 0.5 * y`` where the sum
-        overflows.
-        """
-        a, rows = _square_finite(array)
-        if not _is_symmetric(rows):
-            pairs = [(i, j) for i in range(len(rows)) for j in range(i)]
-            scale = max(1.0, max(map(abs, chain.from_iterable(rows))))
-            if max(abs(rows[i][j] - rows[j][i]) for i, j in pairs) > ASYMMETRY_TOLERANCE * scale:
-                raise InvalidInputError("matrix is not symmetric within tolerance")
-            for i, j in pairs:
-                x, y = rows[i][j], rows[j][i]
-                mean = 0.5 * (x + y)
-                if math.isinf(mean):
-                    mean = 0.5 * x + 0.5 * y
-                rows[i][j] = rows[j][i] = mean
-            a = np.array(rows)
-        return cls(a)
-
 
 @dataclass(frozen=True)
 class EigenDecomposition:
@@ -116,22 +55,13 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # row i <-> eigenvalues[i]
 
-    @property
-    def order(self) -> int:
-        return self.eigenvalues.shape[0]
 
-
-def _leads_negative(v, tol: float = SIGN_TOLERANCE) -> bool:
-    """Whether the first component of ``v`` with |x| > tol is negative."""
+def _leads_negative(v) -> bool:
+    """Whether the first component of ``v`` with |x| > SIGN_TOLERANCE is negative."""
     for x in v:
-        if abs(x) > tol:
+        if abs(x) > SIGN_TOLERANCE:
             return x < 0
     return False
-
-
-def canonical_sign(v: np.ndarray, tol: float = SIGN_TOLERANCE) -> np.ndarray:
-    """Flip ``v`` if needed so its first component with |x| > tol is positive."""
-    return -v if _leads_negative(v, tol) else v
 
 
 def _pairwise_sum(terms: list[float]) -> float:
@@ -197,8 +127,9 @@ def eigen_symmetric(m) -> EigenDecomposition:
 
     Parameters
     ----------
-    m : SymmetricMatrix or array-like
-        Array input is validated and exactly symmetrized first.
+    m : array-like
+        Square of order >= 1, finite and exactly symmetric
+        (``m[i][j] == m[j][i]``), as ``b.T @ b`` is.
 
     Returns
     -------
@@ -208,14 +139,19 @@ def eigen_symmetric(m) -> EigenDecomposition:
     Raises
     ------
     InvalidInputError
-        Non-finite entries, asymmetry beyond tolerance, or an eigenvalue
+        Not square, non-finite entries, inexact symmetry, or an eigenvalue
         beyond the float range (entries near the largest float).
     NumericalFailureError
         No convergence within MAX_SWEEPS sweeps (not observed in practice).
     """
-    if not isinstance(m, SymmetricMatrix):
-        m = SymmetricMatrix.from_array(m)
-    entries = m.entries.tolist()
+    array = np.asarray(m, dtype=float)
+    if array.ndim != 2 or array.shape[0] != array.shape[1] or array.shape[0] < 1:
+        raise InvalidInputError("symmetric matrix must be square of order >= 1")
+    entries = array.tolist()
+    if not all(map(math.isfinite, chain.from_iterable(entries))):
+        raise InvalidInputError("symmetric matrix entries must be finite")
+    if list(zip(*entries)) != list(map(tuple, entries)):
+        raise InvalidInputError("matrix is not exactly symmetric")
     n = len(entries)
     # Jacobi commutes exactly with a power-of-two scaling, and scaling the
     # largest entry into [0.5, 1) keeps the squares in the norm and in the

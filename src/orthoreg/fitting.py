@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import SymmetricMatrix, eigen_symmetric
+from .eigen import eigen_symmetric
 from .errors import DegenerateGeometryError, InvalidInputError
 
 #: Residual-aggregate fields of ResidualStats, in reporting order.
@@ -45,6 +45,10 @@ RANK_TOLERANCE = 1e-12
 
 #: Rows per block of the residual pass (see ``_distances``).
 _BLOCK = 2**15
+
+#: Largest departure from unit length of a fitted flat's direction or normal.
+#: Fitted vectors come within about 1e-15.
+_UNIT_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,8 @@ class PointCloud:
     def from_columns(cls, *columns, labels=None) -> "PointCloud":
         """Assemble a cloud from per-coordinate sequences of equal length."""
         cols = [np.asarray(c, dtype=float) for c in columns]
+        if not cols:
+            raise InvalidInputError("no columns")
         if any(c.ndim != 1 for c in cols):
             raise InvalidInputError("columns must be one-dimensional")
         if len({c.shape[0] for c in cols}) > 1:
@@ -105,6 +111,8 @@ class ResidualStats:
     @classmethod
     def from_distances(cls, distances) -> "ResidualStats":
         d = np.asarray(distances, dtype=float)
+        if d.ndim != 1 or d.shape[0] < 1:
+            raise InvalidInputError("residual stats need a non-empty vector of distances")
         sum_sq = float(d @ d)
         return cls(
             per_point_distance=d,
@@ -121,6 +129,20 @@ class ResidualStats:
         return getattr(self, name)
 
 
+def _check_flat(flat, origin: str, unit: str) -> None:
+    """Coerce a fitted flat's ``origin`` and ``unit`` fields to float arrays.
+    InvalidInputError unless ``unit`` is a vector of the origin's length and
+    of unit length within _UNIT_TOLERANCE, as every distance assumes."""
+    o = np.asarray(getattr(flat, origin), dtype=float)
+    u = np.asarray(getattr(flat, unit), dtype=float)
+    if o.ndim != 1 or u.shape != o.shape:
+        raise InvalidInputError(f"{unit} must be a vector of the {origin}'s length")
+    if not abs(math.hypot(*u.tolist()) - 1.0) <= _UNIT_TOLERANCE:
+        raise InvalidInputError(f"{unit} must be a unit vector")
+    object.__setattr__(flat, origin, o)
+    object.__setattr__(flat, unit, u)
+
+
 @dataclass(frozen=True)
 class FittedLine:
     """A best-fit line: the cloud centroid plus a unit direction."""
@@ -128,6 +150,9 @@ class FittedLine:
     anchor: np.ndarray
     direction: np.ndarray
     error: ResidualStats
+
+    def __post_init__(self):
+        _check_flat(self, "anchor", "direction")
 
     @property
     def dim(self) -> int:
@@ -142,6 +167,9 @@ class FittedHyperplane:
     centroid: np.ndarray
     offset: float
     error: ResidualStats
+
+    def __post_init__(self):
+        _check_flat(self, "centroid", "normal")
 
     @property
     def dim(self) -> int:
@@ -206,14 +234,15 @@ def centroid(cloud: PointCloud) -> np.ndarray:
     return _centre(cloud.points)[0]
 
 
-def scatter_matrix(cloud: PointCloud) -> SymmetricMatrix:
+def scatter_matrix(cloud: PointCloud) -> np.ndarray:
     """Unnormalized centered scatter matrix sum_i (p_i - c)(p_i - c)^T.
 
     No 1/(n-1) factor: normalization rescales eigenvalues uniformly and does
-    not move the principal axes. numpy mirrors one triangle of ``b.T @ b``.
+    not move the principal axes. numpy mirrors one triangle of ``b.T @ b``,
+    so the result is exactly symmetric, as ``eigen_symmetric`` requires.
     """
     b = _centred(cloud.points)[1]
-    return SymmetricMatrix(b.T @ b)
+    return b.T @ b
 
 
 def _principal_axes(cloud: PointCloud, k: int, name: str):
@@ -231,7 +260,7 @@ def _principal_axes(cloud: PointCloud, k: int, name: str):
     if len(cloud) < k + 1:
         raise InvalidInputError(f"{name} fit in dimension {dim} needs at least {k + 1} points")
     c, b = _centred(cloud.points)
-    scatter = SymmetricMatrix(b.T @ b)
+    scatter = b.T @ b
     del b
     dec = eigen_symmetric(scatter)
     values = dec.eigenvalues.tolist()

@@ -9,7 +9,7 @@ import numpy as np
 
 from orthoreg.dataio import INDICATOR_FIELDS
 from orthoreg.economy import IndicatorSeries
-from orthoreg.eigen import MAX_SWEEPS, OFF_DIAGONAL_TOLERANCE, SymmetricMatrix, canonical_sign
+from orthoreg.eigen import MAX_SWEEPS, OFF_DIAGONAL_TOLERANCE, SIGN_TOLERANCE
 from orthoreg.errors import NumericalFailureError
 
 
@@ -107,8 +107,8 @@ def reference_eigen_symmetric(m):
     ``orthoreg.eigen.eigen_symmetric`` computes with Python scalars.
 
     Kept as the reference: the scalar solver runs the same IEEE operations in
-    the same order, so both must return byte-equal eigenpairs. Returns
-    ``(eigenvalues, eigenvectors)``.
+    the same order, so both must return byte-equal eigenpairs. ``m`` is an
+    exactly symmetric float array. Returns ``(eigenvalues, eigenvectors)``.
     """
     def off_diagonal_mass(a):
         off = a - np.diag(np.diag(a))
@@ -141,12 +141,16 @@ def reference_eigen_symmetric(m):
         v[:, p] = c * vp - s * vq
         v[:, q] = s * vp + c * vq
 
-    if not isinstance(m, SymmetricMatrix):
-        m = SymmetricMatrix.from_array(m)
+    def canonical_sign(u):
+        """``u`` flipped so its first component with |x| > SIGN_TOLERANCE is positive."""
+        lead = u[np.abs(u) > SIGN_TOLERANCE]
+        return -u if lead.size and lead[0] < 0 else u
+
+    m = np.asarray(m, dtype=float)
     # The same power-of-two normalisation as the solver: largest entry in [0.5, 1).
-    exponent = math.frexp(float(np.abs(m.entries).max()))[1]
-    a = np.ldexp(m.entries, -exponent)
-    n = m.order
+    exponent = math.frexp(float(np.abs(m).max()))[1]
+    a = np.ldexp(m, -exponent)
+    n = m.shape[0]
     v = np.eye(n)
     norm = float(np.sqrt(np.sum(a * a)))
     # theta overflows to inf when |a[p, q]| is tiny; that is the intended path.

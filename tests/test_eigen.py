@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from orthoreg import (
     InvalidInputError,
     PointCloud,
-    SymmetricMatrix,
     eigen_symmetric,
     scatter_matrix,
     v4_dataset,
 )
-from orthoreg.eigen import _pairwise_sum, canonical_sign
+from orthoreg.eigen import _leads_negative, _pairwise_sum
 
 from _helpers import (
     cofactor_det,
@@ -62,7 +61,7 @@ def test_extreme_entries_are_rotated(scale):
 
 def test_eigenvalue_beyond_the_float_range_rejected():
     with pytest.raises(InvalidInputError, match="overflow"):
-        eigen_symmetric(SymmetricMatrix(np.full((2, 2), 1e308)))
+        eigen_symmetric(np.full((2, 2), 1e308))
 
 
 def test_entries_near_the_float_maximum_are_not_overflowed():
@@ -73,60 +72,31 @@ def test_entries_near_the_float_maximum_are_not_overflowed():
     assert dec.eigenvectors.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
-def test_from_array_mean_of_a_pair_whose_sum_overflows():
-    x = 1.7e308
-    y = x * (1.0 - 1e-13)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        m = SymmetricMatrix.from_array([[1.0, x], [y, 1.0]])
-    assert m.entries.tolist() == [[1.0, 0.5 * x + 0.5 * y], [0.5 * x + 0.5 * y, 1.0]]
-
-
-def test_from_array_keeps_the_bits_of_each_pair():
-    """Exactly symmetric input is kept as it is; any other pair becomes
-    0.5 * (x + y), the array expression ``0.5 * (a + a.T)``."""
-    rng = np.random.default_rng(17)
-    for _ in range(200):
-        n = int(rng.integers(1, 9))
-        a = random_symmetric(rng, n, scale=10.0 ** float(rng.integers(-150, 150)))
-        assert SymmetricMatrix.from_array(a).entries.tobytes() == a.tobytes()
-        a = a * (1.0 + 1e-14 * rng.uniform(-1.0, 1.0, size=(n, n)))
-        expected = 0.5 * (a + a.T)
-        assert SymmetricMatrix.from_array(a).entries.tobytes() == expected.tobytes()
-
-
 _SQUARE = "symmetric matrix must be square of order >= 1"
 _FINITE = "symmetric matrix entries must be finite"
+_SYMMETRIC = "matrix is not exactly symmetric"
 
 
-@pytest.mark.parametrize("build, array, message", [
-    (SymmetricMatrix, np.zeros((2, 3)), _SQUARE),
-    (SymmetricMatrix.from_array, np.zeros((2, 3)), _SQUARE),
-    (SymmetricMatrix, np.zeros(3), _SQUARE),
-    (SymmetricMatrix.from_array, np.zeros((2, 2, 2)), _SQUARE),
-    (SymmetricMatrix, np.zeros((0, 0)), _SQUARE),
-    (SymmetricMatrix.from_array, np.zeros((0, 0)), _SQUARE),
-    (SymmetricMatrix.from_array, [[np.nan, 1.0, 2.0]], _SQUARE),
-    (SymmetricMatrix, [[1.0, np.nan], [np.nan, 1.0]], _FINITE),
-    (SymmetricMatrix.from_array, [[1.0, np.nan], [np.nan, 1.0]], _FINITE),
-    (SymmetricMatrix, [[np.inf, 0.0], [0.0, 1.0]], _FINITE),
-    (SymmetricMatrix.from_array, [[1.0, np.inf], [0.0, 1.0]], _FINITE),
-    (SymmetricMatrix, [[1.0, 2.0], [2.0 + 1e-15, 1.0]],
-     "entries are not exactly symmetric; use SymmetricMatrix.from_array"),
-    (SymmetricMatrix.from_array, [[1.0, 2.0], [1.0, 1.0]],
-     "matrix is not symmetric within tolerance"),
-    (SymmetricMatrix.from_array, [[1.0, 1.7e308], [-1.7e308, 1.0]],
-     "matrix is not symmetric within tolerance"),
+@pytest.mark.parametrize("array, message", [
+    (np.zeros((2, 3)), _SQUARE),
+    (np.zeros(3), _SQUARE),
+    (np.zeros((2, 2, 2)), _SQUARE),
+    (np.zeros((0, 0)), _SQUARE),
+    ([[np.nan, 1.0, 2.0]], _SQUARE),
+    ([[1.0, np.nan], [np.nan, 1.0]], _FINITE),
+    ([[np.inf, 0.0], [0.0, 1.0]], _FINITE),
+    ([[1.0, np.inf], [0.0, 1.0]], _FINITE),
+    ([[1.0, 2.0], [2.0 + 1e-15, 1.0]], _SYMMETRIC),
+    ([[1.0, 1.7e308], [-1.7e308, 1.0]], _SYMMETRIC),
 ], ids=[
-    "not-square", "from-not-square", "one-dimensional", "from-three-dimensional", "empty",
-    "from-empty", "from-not-square-before-nan", "nan", "from-nan", "inf", "from-inf",
-    "asymmetric", "from-beyond-tolerance", "from-difference-overflows",
+    "not-square", "one-dimensional", "three-dimensional", "empty", "not-square-before-nan",
+    "nan", "inf", "inf-before-asymmetry", "asymmetric", "asymmetric-near-the-float-maximum",
 ])
-def test_validation_errors_and_messages(build, array, message):
+def test_validation_errors_and_messages(array, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidInputError) as raised:
-            build(array)
+            eigen_symmetric(array)
     assert str(raised.value) == message
 
 
@@ -147,14 +117,6 @@ def test_non_convergence_raises(monkeypatch):
     monkeypatch.setattr(eigen_mod, "MAX_SWEEPS", 0)
     with pytest.raises(NumericalFailureError):
         eigen_symmetric(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-
-def test_symmetric_matrix_type_validates():
-    with pytest.raises(InvalidInputError):
-        SymmetricMatrix(np.array([[1.0, 2.0], [2.0 + 1e-15, 1.0]]))  # not exact
-    m = SymmetricMatrix.from_array(np.array([[1.0, 2.0], [2.0 + 1e-15, 1.0]]))
-    assert (m.entries == m.entries.T).all()
-    assert m.order == 2
 
 
 @st.composite
@@ -178,11 +140,15 @@ def test_pairwise_sum_matches_numpy(terms):
 
 
 def test_canonical_sign():
-    v = np.array([0.0, -0.6, 0.8])
-    assert (canonical_sign(v) == np.array([0.0, 0.6, -0.8])).all()
+    """Each eigenvector's first component above SIGN_TOLERANCE is positive."""
+    assert _leads_negative([0.0, -0.6, 0.8])
     # components below tolerance do not decide the sign
-    v = np.array([1e-13, -0.6, 0.8])
-    assert canonical_sign(v)[1] == 0.6
+    assert _leads_negative([1e-13, -0.6, 0.8])
+    assert not _leads_negative([-1e-13, 0.6, -0.8])
+    assert not _leads_negative([0.0, 0.0])
+    dec = eigen_symmetric([[3.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+    assert dec.eigenvectors[2, 0] == 0.0
+    assert dec.eigenvectors[2, 1] > 0.0 > dec.eigenvectors[2, 2]
 
 
 def test_matches_lapack_eigenvalues():
@@ -242,7 +208,8 @@ def test_rotation_invariance_of_spectrum():
         n = int(rng.integers(2, 6))
         m = random_symmetric(rng, n)
         r = random_rotation(rng, n)
-        rotated = SymmetricMatrix.from_array(r @ m @ r.T)
+        rotated = r @ m @ r.T
+        rotated = 0.5 * (rotated + rotated.T)  # rounding leaves it inexactly symmetric
         w1 = eigen_symmetric(m).eigenvalues
         w2 = eigen_symmetric(rotated).eigenvalues
         assert np.abs(w1 - w2).max() <= 1e-9 * (1.0 + np.abs(w1).max())

@@ -86,24 +86,43 @@ class TestPointCloud:
         assert (cloud.points == [[1.0, 3.0], [2.0, 4.0]]).all()
         with pytest.raises(InvalidInputError):
             PointCloud.from_columns([1, 2], [3.0])
+        with pytest.raises(InvalidInputError, match="^no columns$"):
+            PointCloud.from_columns()
 
 
 class TestCentroidAndScatter:
     def test_single_point(self):
         cloud = PointCloud([[7.0, -2.0]])
         assert (centroid(cloud) == [7.0, -2.0]).all()
-        assert (scatter_matrix(cloud).entries == np.zeros((2, 2))).all()
+        assert (scatter_matrix(cloud) == np.zeros((2, 2))).all()
 
     def test_five_point_centroid(self, five_points_cloud):
         assert (centroid(five_points_cloud) == [4.0, 5.0]).all()
 
     def test_five_point_scatter(self, five_points_cloud):
         expected = np.array([[20.0, 9.0], [9.0, 20.0]])
-        assert np.abs(scatter_matrix(five_points_cloud).entries - expected).max() < 1e-12
+        assert np.abs(scatter_matrix(five_points_cloud) - expected).max() < 1e-12
 
     def test_two_point_scatter(self):
         cloud = PointCloud([[0.0, 0.0], [2.0, 0.0]])
-        assert np.allclose(scatter_matrix(cloud).entries, [[2.0, 0.0], [0.0, 0.0]])
+        assert np.allclose(scatter_matrix(cloud), [[2.0, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 129, _BLOCK - 1, _BLOCK + 1, 40_000])
+    def test_scatter_is_exactly_symmetric(self, n):
+        """``eigen_symmetric`` rejects inexact symmetry, so every scatter
+        matrix the fits hand it must be exactly symmetric: C-order,
+        Fortran-order and strided points, offset up to 1e8."""
+        rng = np.random.default_rng(n)
+        for dim in range(1, 9):
+            shift = rng.choice([-1.0, 1.0], dim) * 10.0 ** rng.uniform(0, 8, dim)
+            base = rng.normal(size=(n, 2 * dim)) * 10.0 ** rng.uniform(-3, 3, 2 * dim)
+            for points in (
+                base[:, :dim] + shift,
+                np.asfortranarray(base[:, :dim] + shift),
+                (base + np.tile(shift, 2))[:, ::2],
+            ):
+                s = scatter_matrix(PointCloud(points))
+                assert (s == s.T).all()
 
     def test_sk_centroid_matches_reference(self):
         assert np.abs(centroid(sk_cloud()) - [13.8714, 4.5571, 9.1429]).max() < 1e-4
@@ -272,6 +291,49 @@ class TestFitHyperplane:
             dec = eigen_symmetric(scatter_matrix(cloud))
             for axis in dec.eigenvectors[:-1]:
                 assert abs(float(axis @ plane.normal)) < 1e-10
+
+
+class TestFittedFlats:
+    STATS = ResidualStats.from_distances([0.0])
+
+    @pytest.mark.parametrize("u", [[2.0, 0.0], [1.0 + 1e-11, 0.0], [0.0, 0.0], [np.nan, 1.0]])
+    def test_vector_of_other_than_unit_length_rejected(self, u):
+        with pytest.raises(InvalidInputError, match="^direction must be a unit vector$"):
+            FittedLine(np.zeros(2), np.array(u), self.STATS)
+        with pytest.raises(InvalidInputError, match="^normal must be a unit vector$"):
+            FittedHyperplane(np.array(u), np.zeros(2), 0.0, self.STATS)
+
+    @pytest.mark.parametrize("u", [[1.0, 0.0, 0.0], [1.0], [[1.0, 0.0]], 1.0])
+    def test_vector_of_another_length_rejected(self, u):
+        with pytest.raises(InvalidInputError, match="direction must be a vector of the anchor's length"):
+            FittedLine(np.zeros(2), u, self.STATS)
+        with pytest.raises(InvalidInputError, match="normal must be a vector of the centroid's length"):
+            FittedHyperplane(u, np.zeros(2), 0.0, self.STATS)
+
+    def test_unit_vectors_within_the_tolerance_are_kept(self):
+        u = [0.6, 0.8 * (1.0 + 1e-13)]
+        line = FittedLine([0, 0], u, self.STATS)
+        assert line.direction.tolist() == u and line.anchor.dtype == float
+
+    def test_fits_pass_the_check_and_round_trip_through_the_report_dict(self):
+        from orthoreg.report import build_fit_report, report_from_dict, report_to_dict
+
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            dim = int(rng.integers(2, 6))
+            cloud = PointCloud(rng.normal(size=(12, dim)) * 10.0 ** rng.uniform(-3, 3, dim))
+            for model in (fit_line(cloud), fit_hyperplane(cloud)):
+                report = build_fit_report(cloud, model, "sum_abs", {})
+                back = report_from_dict(report_to_dict(report)).model
+                assert type(back) is type(model)
+                for name in ("anchor", "direction", "normal", "centroid"):
+                    if hasattr(model, name):
+                        assert getattr(back, name).tobytes() == getattr(model, name).tobytes()
+
+    @pytest.mark.parametrize("distances", [[], np.zeros((0, 2)), 1.0])
+    def test_stats_need_a_non_empty_vector(self, distances):
+        with pytest.raises(InvalidInputError, match="non-empty vector of distances"):
+            ResidualStats.from_distances(distances)
 
 
 class TestDistances:

@@ -106,6 +106,12 @@ class TestReportSerialization:
         assert (back.model.normal == report.model.normal).all()
         assert back.model.offset == report.model.offset
 
+    def test_empty_per_point_is_invalid(self, five_csv):
+        data = report_to_dict(csv_report(five_csv, "line"))
+        data["per_point"] = []
+        with pytest.raises(InvalidInputError, match="non-empty vector of distances"):
+            report_from_dict(data)
+
     def test_renders_are_deterministic(self, five_csv):
         report = csv_report(five_csv, "line")
         for fmt in ("json", "csv", "text"):
@@ -469,6 +475,15 @@ class TestCliExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "builtin:v4" in captured.err
+
+    @pytest.mark.parametrize("source", [["FIVE"], ["builtin:v4", "--country", "SK"]])
+    def test_usage_projection_without_plot(self, five_csv, capsys, source):
+        argv = ["fit", "--input", *[five_csv if f == "FIVE" else f for f in source],
+                "--geometry", "line", "--projection", "0,1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --projection applies only with --plot\n"
 
     @pytest.mark.parametrize("rows, code, message", [
         ("SK,1994,1,2,3\nSK,1995,2,1,4\n", 3,

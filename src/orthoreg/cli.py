@@ -9,19 +9,20 @@ gen-bumblebee  Write a deterministic noisy-line cloud as CSV.
 
 Each subcommand reads its parsed arguments and calls the public library
 functions directly (for ``fit``: load the cloud, ``fit_line`` or
-``fit_hyperplane``, ``build_fit_report``, ``render_fit``); argparse alone
-checks the choices of a flag.
+``fit_hyperplane``, ``build_fit_report``, ``render_fit``). argparse alone
+checks the choices of a flag; a flag of several subcommands is declared once,
+in a parent parser. Input files are read as bytes, which ``dataio`` decodes.
 
-Exit codes: 0 success, 2 usage errors (including a file that cannot be read
-or written), 3 parse/schema/invalid-input errors, 4 degenerate geometry,
-5 numerical failure. Reports go to stdout; plot and scene files go to
---output-dir (or $ORTHOREG_OUTPUT_DIR, default "."), with their paths
-announced on stderr so stdout stays machine-readable. Each command builds its
-whole report and every file before anything is written: on success the files
-are written first (parent directories created), then the report. A command
-that fails writes nothing. Files are written all or none: each goes to a
-temporary sibling, renamed into place once all are written, so a file that
-cannot be written leaves stdout empty and no output file behind.
+Exit codes: 0 success, 2 usage errors from argparse, else the ``exit_code``
+of the ``errors`` class raised; any other exception propagates. Reports go
+to stdout; plot and scene files go to --output-dir (or $ORTHOREG_OUTPUT_DIR,
+default "."), with their paths announced on stderr so stdout stays
+machine-readable. Each command builds its whole report and every file before
+anything is written: on success the files are written first (parent
+directories created), then the report. A command that fails writes nothing.
+Files are written all or none: each goes to a temporary sibling, renamed
+into place once all are written, so a file that cannot be written leaves
+stdout empty and no output file behind.
 """
 
 from __future__ import annotations
@@ -49,18 +50,10 @@ from .economy import (
     trajectory,
     v4_dataset,
 )
-from .errors import (
-    DegenerateGeometryError,
-    InvalidInputError,
-    NumericalFailureError,
-    ParseError,
-    SchemaError,
-    UsageError,
-)
+from .errors import InvalidInputError, OrthoregError, UsageError
 from .fitting import (
     ERROR_METRICS,
     DEFAULT_ERROR_METRIC,
-    FittedHyperplane,
     FittedLine,
     fit_hyperplane,
     fit_line,
@@ -79,22 +72,14 @@ from .synthetic import LineCloudSpec, generate_line_cloud
 
 BUILTIN_V4 = "builtin:v4"
 
-EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_PARSE = 3
-EXIT_DEGENERATE = 4
-EXIT_NUMERICAL = 5
-
 OUTPUT_DIR_ENV = "ORTHOREG_OUTPUT_DIR"
 
 
-def _read_text(path: str) -> str:
+def _read_bytes(path: str) -> bytes:
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        return Path(path).read_bytes()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not valid UTF-8: {exc}") from None
 
 
 def _builtin_series(country: str | None):
@@ -108,7 +93,7 @@ def _builtin_series(country: str | None):
 
 def _read_cloud(args):
     return parse_cloud_csv(
-        _read_text(args.input), columns=args.columns,
+        _read_bytes(args.input), columns=args.columns,
         label_column=args.label_column, delimiter=args.delimiter or ",",
     )
 
@@ -116,10 +101,10 @@ def _read_cloud(args):
 def emit_plot_svg(report, projection: tuple[int, int] | None = None) -> str:
     """Scatter plot of a fit or comparison report as an SVG string.
 
-    2D reports plot directly; higher-dimensional reports need a projection
-    (pair of coordinate indices). In a projection only a fitted line is drawn
-    (a projected hyperplane fills the view); in 2D a fitted "plane" is itself
-    a line and is drawn.
+    A fit report is drawn on the coordinate pair ``projection`` (i, j), which
+    2D data may leave out for (0, 1). A fitted line is drawn projected, as is
+    a 2D "plane", which is itself the line along (-n1, n0); a projected
+    hyperplane of higher dimension fills the view and is not drawn.
     """
     if isinstance(report, ComparisonReport):
         if report.cloud is None:
@@ -142,32 +127,28 @@ def emit_plot_svg(report, projection: tuple[int, int] | None = None) -> str:
         raise InvalidInputError("fit report carries no data points to plot")
     cloud = report.cloud
     model = report.model
-    if cloud.dim == 2:
-        points = cloud.points
-        axes = (0, 1)
-    else:
-        if projection is None:
+    if projection is None:
+        if cloud.dim != 2:
             raise InvalidInputError(
                 f"data is {cloud.dim}-dimensional: a 2D projection (i,j) is required"
             )
-        i, j = projection
-        if not (0 <= i < cloud.dim and 0 <= j < cloud.dim and i != j):
-            raise InvalidInputError(f"invalid projection {projection!r} for dim {cloud.dim}")
-        points = cloud.points[:, [i, j]]
-        axes = (i, j)
-
-    lines = []
+        projection = (0, 1)
+    i, j = projection
+    if not (0 <= i < cloud.dim and 0 <= j < cloud.dim and i != j):
+        raise InvalidInputError(f"invalid projection {projection!r} for dim {cloud.dim}")
+    axes = [i, j]
+    flats = []
     if isinstance(model, FittedLine):
-        direction = model.direction[list(axes)]
-        if float(np.linalg.norm(direction)) > 1e-12:
-            lines.append(("fit", model.anchor[list(axes)], direction))
-    elif isinstance(model, FittedHyperplane) and cloud.dim == 2:
-        n = model.normal
-        lines.append(("fit", model.centroid, np.array([-n[1], n[0]])))
+        flats.append((model.anchor, model.direction))
+    elif cloud.dim == 2:
+        flats.append((model.centroid, np.array([-model.normal[1], model.normal[0]])))
+    # A line orthogonal to both plotted axes projects to a point and is not drawn.
+    lines = [("fit", o[axes], u[axes]) for o, u in flats if float(np.linalg.norm(u[axes])) > 1e-12]
     columns = report.metadata.get("columns") or [f"x{k}" for k in range(cloud.dim)]
     return scatter_chart(
-        points, lines, title=f"orthogonal {report.metadata.get('geometry', 'fit')}",
-        x_label=str(columns[axes[0]]), y_label=str(columns[axes[1]]),
+        cloud.points[:, axes], lines,
+        title=f"orthogonal {report.metadata.get('geometry', 'fit')}",
+        x_label=str(columns[i]), y_label=str(columns[j]),
     )
 
 
@@ -260,48 +241,42 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"directory for plot/scene files (default ${OUTPUT_DIR_ENV} or .)",
     )
 
+    cloud_in = argparse.ArgumentParser(add_help=False)
+    cloud_in.add_argument(
+        "--columns", type=_columns_arg, default=None,
+        help="comma-separated coordinate columns, names or indices (default: all but the label)",
+    )
+    cloud_in.add_argument("--label-column", default=None)
+    cloud_in.add_argument("--delimiter", type=_delimiter_arg, default=None, help="default ,")
+
+    metric = argparse.ArgumentParser(add_help=False)
+    metric.add_argument("--error-metric", choices=ERROR_METRICS, default=DEFAULT_ERROR_METRIC)
+
     p_fit = sub.add_parser(
-        "fit", parents=[common_out], help="fit a line or plane to a point cloud"
+        "fit", parents=[common_out, cloud_in, metric],
+        help="fit a line or plane to a point cloud",
     )
     p_fit.add_argument("--input", required=True, help=f"CSV path or {BUILTIN_V4}")
     p_fit.add_argument("--geometry", choices=("line", "plane"), required=True)
     p_fit.add_argument("--country", default=None, help=f"country code with {BUILTIN_V4}")
     p_fit.add_argument(
-        "--columns", type=_columns_arg, default=None,
-        help="comma-separated coordinate columns (names or indices)",
-    )
-    p_fit.add_argument("--label-column", default=None)
-    p_fit.add_argument("--delimiter", type=_delimiter_arg, default=None, help="default ,")
-    p_fit.add_argument(
-        "--error-metric", choices=ERROR_METRICS, default=DEFAULT_ERROR_METRIC
-    )
-    p_fit.add_argument(
         "--projection", type=_projection_arg, default=None,
-        help="coordinate pair i,j to project onto when plotting 3D data",
+        help="coordinate pair i,j to plot (default 0,1; required above 2D)",
     )
 
     p_cmp = sub.add_parser(
-        "compare", parents=[common_out],
+        "compare", parents=[common_out, cloud_in],
         help="classical, conjugate, and orthogonal lines on 2D data",
     )
     p_cmp.add_argument("--input", required=True, help="CSV path with 2D data")
-    p_cmp.add_argument(
-        "--columns", type=_columns_arg, default=None,
-        help="the two coordinate columns (default: first two non-label columns)",
-    )
-    p_cmp.add_argument("--label-column", default=None)
-    p_cmp.add_argument("--delimiter", type=_delimiter_arg, default=None, help="default ,")
 
     p_eco = sub.add_parser(
-        "economy", parents=[common_out],
+        "economy", parents=[common_out, metric],
         help="plane-based economy indicators (builtin V4 data by default)",
     )
     p_eco.add_argument(
         "--data", default=None,
         help="external indicator CSV (schema: country,year,unemployment,gdp_change,inflation)",
-    )
-    p_eco.add_argument(
-        "--error-metric", choices=ERROR_METRICS, default=DEFAULT_ERROR_METRIC
     )
     p_eco.add_argument(
         "--dump-data", action="store_true",
@@ -367,7 +342,7 @@ def _cmd_compare(args):
 
 def _cmd_economy(args):
     if args.data is not None:
-        series_list = parse_indicator_csv(_read_text(args.data))
+        series_list = parse_indicator_csv(_read_bytes(args.data))
         provenance = args.data
     else:
         series_list = v4_dataset()
@@ -428,20 +403,11 @@ def main(argv=None) -> int:
     try:
         text, files = _COMMANDS[args.command](args)
         _write_files(files)
-    except UsageError as exc:
+    except OrthoregError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SchemaError, ParseError, InvalidInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DegenerateGeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except NumericalFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return exc.exit_code
     sys.stdout.write(text)
-    return EXIT_OK
+    return 0
 
 
 if __name__ == "__main__":

@@ -144,9 +144,13 @@ def eigen_symmetric(m) -> EigenDecomposition:
     NumericalFailureError
         No convergence within MAX_SWEEPS sweeps (not observed in practice).
     """
-    array = np.asarray(m, dtype=float)
+    shape_message = "symmetric matrix must be square of order >= 1"
+    try:
+        array = np.asarray(m, dtype=float)
+    except ValueError:  # ragged rows
+        raise InvalidInputError(shape_message) from None
     if array.ndim != 2 or array.shape[0] != array.shape[1] or array.shape[0] < 1:
-        raise InvalidInputError("symmetric matrix must be square of order >= 1")
+        raise InvalidInputError(shape_message)
     entries = array.tolist()
     if not all(map(math.isfinite, chain.from_iterable(entries))):
         raise InvalidInputError("symmetric matrix entries must be finite")

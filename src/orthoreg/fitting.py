@@ -63,9 +63,13 @@ class PointCloud:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        shape_message = "points must be a 2-D array of shape (n, dim)"
+        try:
+            pts = np.asarray(self.points, dtype=float)
+        except ValueError:  # ragged rows
+            raise InvalidInputError(shape_message) from None
         if pts.ndim != 2:
-            raise InvalidInputError("points must be a 2-D array of shape (n, dim)")
+            raise InvalidInputError(shape_message)
         if pts.shape[0] < 1 or pts.shape[1] < 1:
             raise InvalidInputError("point cloud needs at least one point and one dimension")
         # min and max propagate NaN, and they allocate no (n, dim) mask.
@@ -287,13 +291,15 @@ def _distances(points: np.ndarray, origin: np.ndarray, u: np.ndarray, line: bool
     Nothing overflows where the points' spread about ``origin`` passes
     ``_centred``'s rule, as in a fit; ``_checked_distances`` takes any points.
     """
+    # numpy takes the ``q @ u`` of a one-row block as a vector dot, not gemv,
+    # with other bits. So a single point is taken as two copies of itself,
+    # and a lone last row joins the block before it.
+    if points.shape[0] == 1:
+        return _distances(np.vstack((points, points)), origin, u, line)[:1]
     n = points.shape[0]
     d = np.empty(n)
     i = 0
     while i < n:
-        # A lone last row would be its own block, whose ``q @ u`` numpy takes
-        # as a vector dot, not gemv, with other bits: it joins the block
-        # before it.
         j = i + _BLOCK if n - i > _BLOCK + 1 else n
         q = points[i:j] - origin
         if line:

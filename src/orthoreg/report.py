@@ -34,16 +34,26 @@ from .regression import ComparisonReport
 
 @dataclass(frozen=True)
 class FitReport:
-    """Result of one fit: the model, the reported error, labeled distances.
+    """Result of one fit: the model, the reported error, and one label per
+    distance in ``model.error.per_point_distance``.
 
     ``cloud`` keeps the fitted data for plotting; it is not serialized.
     """
 
     model: FittedLine | FittedHyperplane
     err: float
-    per_point: tuple[tuple[str, float], ...]
+    labels: tuple[str, ...]
     metadata: dict = field(default_factory=dict)
     cloud: PointCloud | None = None
+
+    def __post_init__(self):
+        if len(self.labels) != len(self.model.error.per_point_distance):
+            raise InvalidInputError("report labels must match the per-point distances")
+
+    @property
+    def per_point(self) -> tuple[tuple[str, float], ...]:
+        """The (label, distance) pairs."""
+        return tuple(zip(self.labels, self.model.error.per_point_distance.tolist()))
 
 
 def point_labels(cloud: PointCloud) -> tuple[str, ...]:
@@ -51,12 +61,10 @@ def point_labels(cloud: PointCloud) -> tuple[str, ...]:
 
 
 def build_fit_report(cloud: PointCloud, model, metric: str, metadata: dict) -> FitReport:
-    labels = point_labels(cloud)
-    distances = model.error.per_point_distance
     return FitReport(
         model=model,
         err=model.error.metric(metric),
-        per_point=tuple(zip(labels, distances.tolist())),
+        labels=point_labels(cloud),
         metadata={**metadata, "metric": metric, "version": __version__},
         cloud=cloud,
     )
@@ -130,7 +138,7 @@ def report_from_dict(data: dict) -> FitReport:
     return FitReport(
         model=model,
         err=float(data["err"]),
-        per_point=tuple((p["label"], float(p["distance"])) for p in data["per_point"]),
+        labels=tuple(p["label"] for p in data["per_point"]),
         metadata=dict(data.get("metadata", {})),
     )
 
@@ -172,24 +180,17 @@ _CSV_POINT = "per_point.{0}.label,{1}\nper_point.{0}.distance,{2}\n"
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _per_point_columns(report: FitReport) -> tuple[list, list]:
-    """The labels, and the distances as ``repr`` strings."""
-    labels = [label for label, _ in report.per_point]
-    distances = list(map(float.__repr__, [d for _, d in report.per_point]))
-    return labels, distances
-
-
 def _fit_json(report: FitReport) -> str:
     """``_to_json(report_to_dict(report))``, with the points joined directly."""
     text = _to_json(_report_dict(report, []))
-    if not report.per_point:
+    if not report.labels:
         return text
     # The first match is the key: a quote inside a JSON string is escaped.
     head, _, tail = text.partition('"per_point": []')
-    labels, distances = _per_point_columns(report)
+    distances = list(map(float.__repr__, report.model.error.per_point_distance.tolist()))
     items = map(
         _JSON_POINT.format,
-        map(encode_basestring_ascii, labels),
+        map(encode_basestring_ascii, report.labels),
         map(_JSON_NON_FINITE.get, distances, distances),
     )
     return "".join((head, '"per_point": [\n', ",\n".join(items), "\n  ]", tail))
@@ -197,8 +198,7 @@ def _fit_json(report: FitReport) -> str:
 
 def _fit_kv_csv(report: FitReport) -> str:
     """``_to_kv_csv(report_to_dict(report))``, with the points joined directly."""
-    labels, distances = _per_point_columns(report)
-    joined = "".join(labels)
+    joined = "".join(report.labels)
     if any(c in joined for c in ',"\r\n'):  # a label csv.writer may quote
         return _to_kv_csv(report_to_dict(report))
     data = _report_dict(report, [])
@@ -207,7 +207,8 @@ def _fit_kv_csv(report: FitReport) -> str:
     _flatten("", data, head)
     tail: list = []
     _flatten("metadata", metadata, tail)
-    points = map(_CSV_POINT.format, range(len(labels)), labels, distances)
+    distances = map(float.__repr__, report.model.error.per_point_distance.tolist())
+    points = map(_CSV_POINT.format, range(len(report.labels)), report.labels, distances)
     return "".join((_kv_rows(head), "".join(points), _kv_rows(tail)))
 
 

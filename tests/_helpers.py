@@ -60,19 +60,25 @@ def best_candidate_line_sum_sq(points: np.ndarray, rng: np.random.Generator, can
     return float((dists**2).sum(axis=1).min())
 
 
+def _gemv_rows(points: np.ndarray) -> np.ndarray:
+    """``points``, with a single point as two copies of itself: numpy takes a
+    one-row ``@ u`` as a vector dot, whose bits differ from gemv's."""
+    return np.vstack((points, points)) if len(points) == 1 else points
+
+
 def reference_line_distances(points: np.ndarray, origin: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Distances to the line through ``origin`` along ``u`` as one unblocked
     expression over all rows: the residual pass before it took row blocks."""
-    b = points - origin
+    b = _gemv_rows(points) - origin
     r = b - np.outer(b @ u, u)
-    return np.sqrt(np.add.reduce(r * r, axis=1))
+    return np.sqrt(np.add.reduce(r * r, axis=1))[:len(points)]
 
 
 def reference_plane_distances(points: np.ndarray, origin: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Distances to the hyperplane through ``origin`` with unit normal ``u``,
     unblocked, as ``reference_line_distances``."""
-    d = (points - origin) @ u
-    return np.abs(d, out=d)
+    d = (_gemv_rows(points) - origin) @ u
+    return np.abs(d, out=d)[:len(points)]
 
 
 def exact_line_distance(p, origin, u) -> float:

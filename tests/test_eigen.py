@@ -83,13 +83,14 @@ _SYMMETRIC = "matrix is not exactly symmetric"
     (np.zeros((2, 2, 2)), _SQUARE),
     (np.zeros((0, 0)), _SQUARE),
     ([[np.nan, 1.0, 2.0]], _SQUARE),
+    ([[1.0, 2.0], [3.0]], _SQUARE),
     ([[1.0, np.nan], [np.nan, 1.0]], _FINITE),
     ([[np.inf, 0.0], [0.0, 1.0]], _FINITE),
     ([[1.0, np.inf], [0.0, 1.0]], _FINITE),
     ([[1.0, 2.0], [2.0 + 1e-15, 1.0]], _SYMMETRIC),
     ([[1.0, 1.7e308], [-1.7e308, 1.0]], _SYMMETRIC),
 ], ids=[
-    "not-square", "one-dimensional", "three-dimensional", "empty", "not-square-before-nan",
+    "not-square", "one-dimensional", "three-dimensional", "empty", "not-square-before-nan", "ragged",
     "nan", "inf", "inf-before-asymmetry", "asymmetric", "asymmetric-near-the-float-maximum",
 ])
 def test_validation_errors_and_messages(array, message):

@@ -72,6 +72,10 @@ class TestPointCloud:
         assert cloud.dim == 2 and len(cloud) == 2
         assert cloud.points.dtype == float
 
+    def test_ragged_rows_are_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"^points must be a 2-D array of shape \(n, dim\)$"):
+            PointCloud([[1.0, 2.0], [3.0]])
+
     def test_nan_is_rejected(self):
         with pytest.raises(InvalidInputError, match="point coordinates must be finite"):
             PointCloud([[1.0, 2.0], [np.nan, 3.0]])
@@ -365,6 +369,19 @@ class TestDistances:
             for p in cloud.points:
                 single = total_orthogonal_error(PointCloud(p[None]), line).per_point_distance
                 assert distance_point_to_line(p, line) == single[0]
+
+    def test_point_distances_are_the_fit_bits(self):
+        rng = np.random.default_rng(37)
+        for _ in range(200):
+            dim = int(rng.integers(2, 6))
+            offset = rng.normal(size=dim) * 10.0 ** float(rng.uniform(0, 8))
+            cloud = PointCloud(rng.normal(size=(int(rng.integers(dim, 30)), dim)) + offset)
+            line, plane = fit_line(cloud), fit_hyperplane(cloud)
+            for p, on_line, on_plane in zip(
+                cloud.points, line.error.per_point_distance, plane.error.per_point_distance
+            ):
+                assert distance_point_to_line(p, line) == on_line
+                assert distance_point_to_plane(p, plane) == on_plane
 
     def test_point_on_plane(self):
         plane = fit_hyperplane(PointCloud([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]))

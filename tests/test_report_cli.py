@@ -20,10 +20,17 @@ from orthoreg import InvalidInputError, PointCloud, ResidualStats, v4_dataset
 from orthoreg.cli import emit_plot_svg, main
 from orthoreg.dataio import format_indicator_csv, parse_cloud_csv, parse_indicator_csv
 from orthoreg.economy import STATE_VARIABLES, trajectory
-from orthoreg.errors import NumericalFailureError
+from orthoreg.errors import (
+    DegenerateGeometryError,
+    NumericalFailureError,
+    ParseError,
+    SchemaError,
+    UsageError,
+)
 from orthoreg.fitting import fit_hyperplane, fit_line
 from orthoreg.regression import compare_ols_tls
 from orthoreg.report import (
+    FitReport,
     _flatten,
     build_fit_report,
     render_fit,
@@ -122,6 +129,14 @@ class TestReportSerialization:
         text = render_fit(report, "text")
         assert "0.7071" in text  # direction component of the diagonal line
 
+    def test_labels_must_match_the_distances(self, five_csv):
+        report = csv_report(five_csv, "line")
+        assert report.per_point == tuple(
+            zip(report.labels, report.model.error.per_point_distance.tolist())
+        )
+        with pytest.raises(InvalidInputError, match="labels must match"):
+            FitReport(model=report.model, err=report.err, labels=report.labels[:-1])
+
     def test_err_recomputable_from_per_point(self, five_csv):
         for metric in ("sum_sq", "root_sum_sq", "rms", "sum_abs"):
             report = csv_report(five_csv, "line", metric)
@@ -197,6 +212,11 @@ class TestSvg:
             emit_plot_svg(report)
         svg = emit_plot_svg(report, projection=(0, 2))
         assert len(svg_elements(svg, "circle", "point")) == 7
+
+    @pytest.mark.parametrize("geometry", ["line", "plane"])
+    def test_2d_default_projection_is_0_1(self, five_csv, geometry):
+        report = csv_report(five_csv, geometry)
+        assert emit_plot_svg(report) == emit_plot_svg(report, projection=(0, 1))
 
     def test_bad_projection_rejected(self):
         report = v4_report("SK", "line")
@@ -288,6 +308,16 @@ class TestCliContract:
         assert first == second
         payload = json.loads(first)
         assert payload["metadata"]["metric"] == "sum_abs"
+
+    def test_2d_fit_plot_takes_the_projection(self, tmp_path, five_csv, capsys):
+        argv = ["fit", "--input", five_csv, "--geometry", "line", "--columns", "x,y",
+                "--plot", "--projection", "1,0", "--output-dir", str(tmp_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        svg = (tmp_path / "fit_line.svg").read_text(encoding="utf-8")
+        labels = [el.text for el in svg_elements(svg, "text", "axis-label")]
+        assert labels == ["y", "x"]
+        assert len(svg_elements(svg, "line", "fit-line")) == 1
 
     def test_compare_reference_lines(self, five_csv, capsys):
         assert main(["compare", "--input", five_csv]) == 0
@@ -441,6 +471,21 @@ class TestCliContract:
 
 
 class TestCliExitCodes:
+    # The README's exit-code table.
+    @pytest.mark.parametrize("cls, code", [
+        (UsageError, 2), (SchemaError, 3), (ParseError, 3), (InvalidInputError, 3),
+        (DegenerateGeometryError, 4), (NumericalFailureError, 5),
+    ])
+    def test_main_returns_the_error_class_exit_code(self, five_csv, monkeypatch, capsys,
+                                                     cls, code):
+        def fail(cloud):
+            raise cls("no fit")
+
+        monkeypatch.setattr("orthoreg.cli.fit_line", fail)
+        assert cls.exit_code == code
+        assert main(["fit", "--input", five_csv, "--geometry", "line"]) == code
+        assert capsys.readouterr() == ("", "error: no fit\n")
+
     def test_usage_missing_subcommand(self, capsys):
         assert main([]) == 2
         capsys.readouterr()
@@ -628,6 +673,16 @@ class TestCliAllOrNothing:
                 "--plot", "--output-dir", str(out)]
         assert main(argv) == 3
         assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    def test_2d_projection_out_of_range(self, tmp_path, five_csv, capsys):
+        out = tmp_path / "plots"
+        argv = ["fit", "--input", five_csv, "--geometry", "line", "--plot",
+                "--projection", "0,5", "--output-dir", str(out)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid projection (0, 5) for dim 2" in captured.err
         assert not out.exists()
 
     def test_write_failure_is_2(self, tmp_path, five_csv, capsys):

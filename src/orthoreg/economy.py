@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, InvalidInputError
+from .errors import DegenerateGeometryError, InvalidInputError, float_array
 from .fitting import (
     DEFAULT_ERROR_METRIC,
     FittedHyperplane,
@@ -77,8 +77,8 @@ class IndicatorSeries:
     """Per-year indicator values for one country.
 
     Records are stored sorted by year (construction sorts them if needed, so
-    the fit downstream cannot depend on input order); duplicate years are
-    rejected.
+    the fit downstream cannot depend on input order); duplicate and
+    non-integer years are rejected.
     """
 
     country: str
@@ -88,13 +88,15 @@ class IndicatorSeries:
     inflation: tuple[float, ...]
 
     def __post_init__(self):
-        years = tuple(int(y) for y in self.years)
+        message = f"{self.country}: years must be a vector of integers"
+        years = float_array(self.years, (None,), message).tolist()
+        if not all(map(float.is_integer, years)):
+            raise InvalidInputError(message)
+        years = tuple(map(int, years))
         values = {}
         for field in ("unemployment", "gdp_change", "inflation"):
-            column = tuple(float(v) for v in getattr(self, field))
-            if len(column) != len(years):
-                raise InvalidInputError(f"{field} length must match years")
-            values[field] = column
+            message = f"{field} length must match years"
+            values[field] = tuple(float_array(getattr(self, field), (len(years),), message).tolist())
         if len(set(years)) != len(years):
             raise InvalidInputError(f"{self.country}: duplicate years in series")
         if any(b <= a for a, b in zip(years, years[1:])):
@@ -152,10 +154,9 @@ def trajectory(series: IndicatorSeries) -> PointCloud:
     """Phase trajectory of a series: one labeled 3D point per year."""
     if len(series) == 0:
         raise InvalidInputError("series has no years")
-    points = np.column_stack(
-        [series.unemployment, series.gdp_change, series.inflation]
-    ).astype(float)
-    return PointCloud(points, labels=tuple(str(y) for y in series.years))
+    return PointCloud.from_columns(
+        series.unemployment, series.gdp_change, series.inflation, labels=series.years
+    )
 
 
 def economy_plane(series: IndicatorSeries, metric: str = DEFAULT_ERROR_METRIC) -> EconomyPlane:

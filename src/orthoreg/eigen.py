@@ -29,7 +29,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError, NumericalFailureError, float_array
 
 #: Hard cap on full Jacobi sweeps before giving up.
 MAX_SWEEPS = 100
@@ -145,11 +145,8 @@ def eigen_symmetric(m) -> EigenDecomposition:
         No convergence within MAX_SWEEPS sweeps (not observed in practice).
     """
     shape_message = "symmetric matrix must be square of order >= 1"
-    try:
-        array = np.asarray(m, dtype=float)
-    except ValueError:  # ragged rows
-        raise InvalidInputError(shape_message) from None
-    if array.ndim != 2 or array.shape[0] != array.shape[1] or array.shape[0] < 1:
+    array = float_array(m, (None, None), shape_message)
+    if array.shape[0] != array.shape[1] or array.shape[0] < 1:
         raise InvalidInputError(shape_message)
     entries = array.tolist()
     if not all(map(math.isfinite, chain.from_iterable(entries))):

@@ -1,5 +1,15 @@
-"""Exception types shared across the package. Each class's ``exit_code`` is
-the exit status of a command that fails with it."""
+"""Exception types shared across the package, and the one rule by which a
+caller's values become float arrays. Each class's ``exit_code`` is the exit
+status of a command that fails with it.
+
+Every public function and constructor that takes arrays of numbers converts
+them with ``float_array``, so ragged rows, values that numpy cannot convert
+to float (strings, objects) and a wrong shape all raise InvalidInputError
+(exit 3), never numpy's or Python's own errors. Each caller keeps only the
+rules a shape cannot express: non-empty, square, finite, unit length.
+"""
+
+import numpy as np
 
 
 class OrthoregError(Exception):
@@ -12,6 +22,19 @@ class InvalidInputError(OrthoregError, ValueError):
     """Malformed or out-of-contract input (wrong shape, non-finite, empty)."""
 
     exit_code = 3
+
+
+def float_array(value, shape, message: str) -> np.ndarray:
+    """``value`` as a float array of ``shape``, which has one entry per axis:
+    a length, or None for any length. InvalidInputError(message) for ragged
+    rows, values numpy cannot convert to float, or any other shape."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):  # ragged rows, strings, objects
+        raise InvalidInputError(message) from None
+    if a.ndim != len(shape) or not all(k is None or k == m for k, m in zip(shape, a.shape)):
+        raise InvalidInputError(message)
+    return a
 
 
 class DegenerateGeometryError(OrthoregError):

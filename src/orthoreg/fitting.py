@@ -10,7 +10,7 @@ principal axes of the centred scatter matrix, with k = 1 for a line (its
 direction is the first axis) and k = dim - 1 for a hyperplane (its normal is
 the last). Every centring goes through ``_centre``; ``_centred`` adds the
 spread rule. The classical lines in ``regression`` centre each coordinate
-with ``_centred``.
+of their cloud with ``_centred``.
 
 Residuals are one pass, ``_distances``, for the fits, ``total_orthogonal_error``
 and the point distances alike. It takes the points in blocks of ``_BLOCK``
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import eigen_symmetric
-from .errors import DegenerateGeometryError, InvalidInputError
+from .errors import DegenerateGeometryError, InvalidInputError, float_array
 
 #: Residual-aggregate fields of ResidualStats, in reporting order.
 ERROR_METRICS = ("sum_sq", "root_sum_sq", "rms", "sum_abs")
@@ -63,13 +63,7 @@ class PointCloud:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        shape_message = "points must be a 2-D array of shape (n, dim)"
-        try:
-            pts = np.asarray(self.points, dtype=float)
-        except ValueError:  # ragged rows
-            raise InvalidInputError(shape_message) from None
-        if pts.ndim != 2:
-            raise InvalidInputError(shape_message)
+        pts = float_array(self.points, (None, None), "points must be a 2-D array of shape (n, dim)")
         if pts.shape[0] < 1 or pts.shape[1] < 1:
             raise InvalidInputError("point cloud needs at least one point and one dimension")
         # min and max propagate NaN, and they allocate no (n, dim) mask.
@@ -92,14 +86,12 @@ class PointCloud:
     @classmethod
     def from_columns(cls, *columns, labels=None) -> "PointCloud":
         """Assemble a cloud from per-coordinate sequences of equal length."""
-        cols = [np.asarray(c, dtype=float) for c in columns]
-        if not cols:
+        if not columns:
             raise InvalidInputError("no columns")
-        if any(c.ndim != 1 for c in cols):
-            raise InvalidInputError("columns must be one-dimensional")
-        if len({c.shape[0] for c in cols}) > 1:
-            raise InvalidInputError("columns must have equal length")
-        return cls(np.column_stack(cols), labels=labels)
+        message = "columns must be one-dimensional and of equal length"
+        first = float_array(columns[0], (None,), message)
+        rest = [float_array(c, first.shape, message) for c in columns[1:]]
+        return cls(np.column_stack([first, *rest]), labels=labels)
 
 
 @dataclass(frozen=True)
@@ -114,9 +106,10 @@ class ResidualStats:
 
     @classmethod
     def from_distances(cls, distances) -> "ResidualStats":
-        d = np.asarray(distances, dtype=float)
-        if d.ndim != 1 or d.shape[0] < 1:
-            raise InvalidInputError("residual stats need a non-empty vector of distances")
+        message = "residual stats need a non-empty vector of distances"
+        d = float_array(distances, (None,), message)
+        if d.shape[0] < 1:
+            raise InvalidInputError(message)
         sum_sq = float(d @ d)
         return cls(
             per_point_distance=d,
@@ -137,10 +130,9 @@ def _check_flat(flat, origin: str, unit: str) -> None:
     """Coerce a fitted flat's ``origin`` and ``unit`` fields to float arrays.
     InvalidInputError unless ``unit`` is a vector of the origin's length and
     of unit length within _UNIT_TOLERANCE, as every distance assumes."""
-    o = np.asarray(getattr(flat, origin), dtype=float)
-    u = np.asarray(getattr(flat, unit), dtype=float)
-    if o.ndim != 1 or u.shape != o.shape:
-        raise InvalidInputError(f"{unit} must be a vector of the {origin}'s length")
+    message = f"{unit} must be a vector of the {origin}'s length"
+    o = float_array(getattr(flat, origin), (None,), message)
+    u = float_array(getattr(flat, unit), o.shape, message)
     if not abs(math.hypot(*u.tolist()) - 1.0) <= _UNIT_TOLERANCE:
         raise InvalidInputError(f"{unit} must be a unit vector")
     object.__setattr__(flat, origin, o)
@@ -382,17 +374,11 @@ def fit_hyperplane(cloud: PointCloud) -> FittedHyperplane:
     return FittedHyperplane(normal, c, offset, ResidualStats.from_distances(distances))
 
 
-def _check_dim(p: np.ndarray, expected: int, what: str) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if p.shape != (expected,):
-        raise InvalidInputError(f"{what}: expected a vector of dimension {expected}")
+def _point_distance(p, origin: np.ndarray, u: np.ndarray, line: bool, what: str) -> float:
+    p = float_array(p, u.shape, f"{what}: expected a vector of dimension {u.shape[0]}")
     if not np.isfinite(p).all():
         raise InvalidInputError(f"{what}: coordinates must be finite")
-    return p
-
-
-def _point_distance(p, origin: np.ndarray, u: np.ndarray, line: bool, what: str) -> float:
-    d = float(_checked_distances(_check_dim(p, u.shape[0], what)[None], origin, u, line)[0])
+    d = float(_checked_distances(p[None], origin, u, line)[0])
     if d == math.inf:
         raise InvalidInputError(f"{what}: the distance exceeds the float range")
     return d

@@ -5,9 +5,12 @@ regressing y on x and x on y gives two different ("conjugate") lines. The
 orthogonal fit gives one line, lying inside the scissors the two classical
 lines form. ``compare_ols_tls`` computes all three side by side.
 
-The classical lines are built from the centred moments of x and y. Each
-coordinate is centred on its own by ``fitting._centred``, so each must have a
-spread a sum of squares can resolve (see there), or be constant; otherwise
+Each function takes (xs, ys) as the cloud ``PointCloud.from_columns(xs, ys)``
+builds, with its rules and messages, and needs at least 2 points; the
+orthogonal fit is ``fit_line`` of that cloud. The classical lines are built
+from the centred moments of the cloud's x and y columns. Each column is
+centred on its own by ``fitting._centred``, so each must have a spread a sum
+of squares can resolve (see there), or be constant; otherwise
 InvalidInputError is raised.
 """
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, InvalidInputError
+from .errors import DegenerateGeometryError, InvalidInputError, float_array
 from .fitting import FittedLine, PointCloud, _centred, fit_line
 
 
@@ -74,18 +77,11 @@ class ComparisonReport:
     cloud: PointCloud | None = None
 
 
-def _clean_xy(xs, ys):
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if x.ndim != 1 or y.ndim != 1:
-        raise InvalidInputError("xs and ys must be one-dimensional")
-    if x.shape[0] != y.shape[0]:
-        raise InvalidInputError("xs and ys must have the same length")
-    if x.shape[0] < 2:
+def _cloud(xs, ys) -> PointCloud:
+    cloud = PointCloud.from_columns(xs, ys)
+    if len(cloud) < 2:
         raise InvalidInputError("need at least 2 points")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise InvalidInputError("coordinates must be finite")
-    return x, y
+    return cloud
 
 
 def _moments(x, y):
@@ -115,20 +111,21 @@ def ols_line(xs, ys) -> AffineLine2D:
     Raises DegenerateGeometryError when all xs are identical (vertical data
     cannot be written as y of x).
     """
-    x, y = _clean_xy(xs, ys)
+    x, y = _cloud(xs, ys).points.T
     return _y_on_x(x, _moments(x, y))
 
 
 def conjugate_line(xs, ys) -> AffineLine2D:
     """Least-squares line with the roles swapped: x = c y + d."""
-    x, y = _clean_xy(xs, ys)
+    x, y = _cloud(xs, ys).points.T
     return _x_on_y(y, _moments(x, y))
 
 
 def angle_between_lines_deg(u, v) -> float:
     """Angle between two undirected directions, degrees in [0, 90]."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    message = "directions must be vectors of equal length"
+    u = float_array(u, (None,), message)
+    v = float_array(v, u.shape, message)
     cosine = abs(float(u @ v)) / (np.linalg.norm(u) * np.linalg.norm(v))
     return math.degrees(math.acos(min(1.0, cosine)))
 
@@ -145,8 +142,8 @@ def _inclination_deg(direction) -> float:
 
 def compare_ols_tls(xs, ys) -> ComparisonReport:
     """Fit the classical, conjugate, and orthogonal lines to the same cloud."""
-    x, y = _clean_xy(xs, ys)
-    cloud = PointCloud(np.column_stack([x, y]))
+    cloud = _cloud(xs, ys)
+    x, y = cloud.points.T
     tls = fit_line(cloud)
     moments = _moments(x, y)
     xm, ym, _, _, sxy = moments

@@ -35,7 +35,8 @@ from .regression import ComparisonReport
 @dataclass(frozen=True)
 class FitReport:
     """Result of one fit: the model, the reported error, and one label per
-    distance in ``model.error.per_point_distance``.
+    distance in ``model.error.per_point_distance`` (stored as ``str`` of
+    each, as in PointCloud).
 
     ``cloud`` keeps the fitted data for plotting; it is not serialized.
     """
@@ -47,8 +48,10 @@ class FitReport:
     cloud: PointCloud | None = None
 
     def __post_init__(self):
-        if len(self.labels) != len(self.model.error.per_point_distance):
+        labels = tuple(str(x) for x in self.labels)
+        if len(labels) != len(self.model.error.per_point_distance):
             raise InvalidInputError("report labels must match the per-point distances")
+        object.__setattr__(self, "labels", labels)
 
     @property
     def per_point(self) -> tuple[tuple[str, float], ...]:
@@ -121,17 +124,10 @@ def report_from_dict(data: dict) -> FitReport:
     m = data["model"]
     stats = ResidualStats.from_distances([p["distance"] for p in data["per_point"]])
     if m["geometry"] == "line":
-        model = FittedLine(
-            anchor=np.asarray(m["anchor"], dtype=float),
-            direction=np.asarray(m["direction"], dtype=float),
-            error=stats,
-        )
+        model = FittedLine(anchor=m["anchor"], direction=m["direction"], error=stats)
     elif m["geometry"] == "plane":
         model = FittedHyperplane(
-            normal=np.asarray(m["normal"], dtype=float),
-            centroid=np.asarray(m["centroid"], dtype=float),
-            offset=float(m["offset"]),
-            error=stats,
+            normal=m["normal"], centroid=m["centroid"], offset=float(m["offset"]), error=stats
         )
     else:
         raise InvalidInputError(f"unknown geometry {m['geometry']!r}")
@@ -183,8 +179,6 @@ _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _fit_json(report: FitReport) -> str:
     """``_to_json(report_to_dict(report))``, with the points joined directly."""
     text = _to_json(_report_dict(report, []))
-    if not report.labels:
-        return text
     # The first match is the key: a quote inside a JSON string is escaped.
     head, _, tail = text.partition('"per_point": []')
     distances = list(map(float.__repr__, report.model.error.per_point_distance.tolist()))

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, float_array
 
 CANVAS_W = 800
 CANVAS_H = 600
@@ -22,6 +22,12 @@ MARGIN_T = 30
 MARGIN_B = 56
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
+
+#: Most ticks on an axis.
+TICK_TARGET = 6
+
+#: Margin around the data, as a fraction of its range on each axis.
+DATA_PAD = 0.06
 
 
 def _escape(text: str) -> str:
@@ -49,16 +55,16 @@ def _span(lo: float, hi: float) -> tuple[float, float]:
     return lo, hi
 
 
-def nice_ticks(lo: float, hi: float, target: int = 6):
+def nice_ticks(lo: float, hi: float):
     """Tick positions covering [lo, hi] on the 1-2-5 ladder, plus label decimals."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidInputError("tick bounds must be finite")
     lo, hi = _span(lo, hi)
-    raw = (hi - lo) / target
+    raw = (hi - lo) / TICK_TARGET
     magnitude = 10.0 ** math.floor(math.log10(raw))
     step = 10.0 * magnitude
     for mult in (1.0, 2.0, 5.0):
-        if (hi - lo) / (mult * magnitude) <= target:
+        if (hi - lo) / (mult * magnitude) <= TICK_TARGET:
             step = mult * magnitude
             break
     first = math.ceil(lo / step - 1e-9) * step
@@ -83,12 +89,12 @@ class _Frame:
         self.py_hi = MARGIN_T
 
     @classmethod
-    def around(cls, xs, ys, pad: float = 0.06):
+    def around(cls, xs, ys):
         x_lo, x_hi = float(np.min(xs)), float(np.max(xs))
         y_lo, y_hi = float(np.min(ys)), float(np.max(ys))
-        dx = (x_hi - x_lo) or 1.0
-        dy = (y_hi - y_lo) or 1.0
-        return cls(x_lo - pad * dx, x_hi + pad * dx, y_lo - pad * dy, y_hi + pad * dy)
+        dx = DATA_PAD * ((x_hi - x_lo) or 1.0)
+        dy = DATA_PAD * ((y_hi - y_lo) or 1.0)
+        return cls(x_lo - dx, x_hi + dx, y_lo - dy, y_hi + dy)
 
     def px(self, x: float) -> float:
         return self.px_lo + (x - self.x_lo) / (self.x_hi - self.x_lo) * (self.px_hi - self.px_lo)
@@ -195,9 +201,10 @@ def scatter_chart(points, lines=(), title: str = "", x_label: str = "", y_label:
     ``lines`` entries are (name, anchor, direction) triples in data
     coordinates.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
-        raise InvalidInputError("scatter_chart needs points of shape (n, 2)")
+    message = "scatter_chart needs points of shape (n, 2)"
+    pts = float_array(points, (None, 2), message)
+    if pts.shape[0] < 1:
+        raise InvalidInputError(message)
     frame = _Frame.around(pts[:, 0], pts[:, 1])
     parts = _header(title)
     parts += _axes(frame, x_label, y_label)
@@ -229,25 +236,20 @@ def polyline_chart(series, title: str = "", x_label: str = "", y_label: str = ""
 
     Each series is drawn at its own x values; the frame covers all of them.
     """
-    series = [
-        (name, np.asarray(xs, dtype=float), np.asarray(vals, dtype=float))
-        for name, xs, vals in series
-    ]
-    if not series:
-        raise InvalidInputError("polyline_chart needs at least one series")
+    checked = []
     for name, xs, vals in series:
-        if xs.ndim != 1 or xs.shape[0] < 1 or vals.shape != xs.shape:
-            raise InvalidInputError(
-                f"series {name!r} needs one y value per x value and at least one point"
-            )
-    frame = _Frame.around(
-        np.concatenate([xs for _, xs, _ in series]),
-        np.concatenate([vals for _, _, vals in series]),
-    )
+        message = f"series {name!r} needs one y value per x value and at least one point"
+        xy = float_array((xs, vals), (2, None), message)
+        if xy.shape[1] < 1:
+            raise InvalidInputError(message)
+        checked.append((name, xy))
+    if not checked:
+        raise InvalidInputError("polyline_chart needs at least one series")
+    frame = _Frame.around(*np.concatenate([xy for _, xy in checked], axis=1))
     parts = _header(title)
     parts += _axes(frame, x_label, y_label)
     legend = []
-    for i, (name, xs, vals) in enumerate(series):
+    for i, (name, (xs, vals)) in enumerate(checked):
         color = PALETTE[i % len(PALETTE)]
         coords = " ".join(f"{_fmt(frame.px(x))},{_fmt(frame.py(y))}" for x, y in zip(xs, vals))
         parts.append(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, float_array
 from .fitting import PointCloud
 
 _U53 = 2.0**-53
@@ -37,10 +37,8 @@ class LineCloudSpec:
     seed: int
 
     def __post_init__(self):
-        start = np.asarray(self.start, dtype=float)
-        end = np.asarray(self.end, dtype=float)
-        if start.shape != (3,) or end.shape != (3,):
-            raise InvalidInputError("start and end must be 3-vectors")
+        start = float_array(self.start, (3,), "start and end must be 3-vectors")
+        end = float_array(self.end, (3,), "start and end must be 3-vectors")
         if not (np.isfinite(start).all() and np.isfinite(end).all()):
             raise InvalidInputError("start and end must be finite")
         if (start == end).all():

@@ -4,9 +4,10 @@ status of a command that fails with it.
 
 Every public function and constructor that takes arrays of numbers converts
 them with ``float_array``, so ragged rows, values that numpy cannot convert
-to float (strings, objects) and a wrong shape all raise InvalidInputError
-(exit 3), never numpy's or Python's own errors. Each caller keeps only the
-rules a shape cannot express: non-empty, square, finite, unit length.
+to float (strings, objects), complex numbers and a wrong shape all raise
+InvalidInputError (exit 3), never numpy's or Python's own errors. Each
+caller keeps only the rules a shape cannot express: non-empty, square,
+finite, unit length.
 """
 
 import numpy as np
@@ -27,12 +28,19 @@ class InvalidInputError(OrthoregError, ValueError):
 def float_array(value, shape, message: str) -> np.ndarray:
     """``value`` as a float array of ``shape``, which has one entry per axis:
     a length, or None for any length. InvalidInputError(message) for ragged
-    rows, values numpy cannot convert to float, or any other shape."""
+    rows, values numpy cannot convert to float, complex values, or any other
+    shape."""
     try:
-        a = np.asarray(value, dtype=float)
+        a = np.asarray(value)
+        # numpy would cast complex values with a warning, dropping their
+        # imaginary parts; they stay complex and fail the dtype check below.
+        if a.dtype.kind != "c":
+            a = a.astype(float, copy=False)
     except (TypeError, ValueError):  # ragged rows, strings, objects
         raise InvalidInputError(message) from None
-    if a.ndim != len(shape) or not all(k is None or k == m for k, m in zip(shape, a.shape)):
+    if a.dtype != float or a.ndim != len(shape) or not all(
+        k is None or k == m for k, m in zip(shape, a.shape)
+    ):
         raise InvalidInputError(message)
     return a
 

@@ -110,6 +110,10 @@ class ResidualStats:
         d = float_array(distances, (None,), message)
         if d.shape[0] < 1:
             raise InvalidInputError(message)
+        # min propagates NaN and allocates no mask; +inf stays, so that
+        # total_orthogonal_error can name a distance beyond the float range.
+        if not float(d.min()) >= 0.0:
+            raise InvalidInputError("distances must be non-negative numbers")
         sum_sq = float(d @ d)
         return cls(
             per_point_distance=d,
@@ -128,11 +132,14 @@ class ResidualStats:
 
 def _check_flat(flat, origin: str, unit: str) -> None:
     """Coerce a fitted flat's ``origin`` and ``unit`` fields to float arrays.
-    InvalidInputError unless ``unit`` is a vector of the origin's length and
-    of unit length within _UNIT_TOLERANCE, as every distance assumes."""
+    InvalidInputError unless ``origin`` is finite and ``unit`` is a vector of
+    the origin's length and of unit length within _UNIT_TOLERANCE, as every
+    distance assumes."""
     message = f"{unit} must be a vector of the {origin}'s length"
     o = float_array(getattr(flat, origin), (None,), message)
     u = float_array(getattr(flat, unit), o.shape, message)
+    if not all(map(math.isfinite, o.tolist())):
+        raise InvalidInputError(f"{origin} must be finite")
     if not abs(math.hypot(*u.tolist()) - 1.0) <= _UNIT_TOLERANCE:
         raise InvalidInputError(f"{unit} must be a unit vector")
     object.__setattr__(flat, origin, o)
@@ -282,6 +289,14 @@ def _distances(points: np.ndarray, origin: np.ndarray, u: np.ndarray, line: bool
     ``normal . p + offset`` cancels when the points lie far from the origin.
     Nothing overflows where the points' spread about ``origin`` passes
     ``_centred``'s rule, as in a fit; ``_checked_distances`` takes any points.
+
+    A line's residuals are taken coordinate-major, as a (dim, rows) array:
+    numpy's loops then run over the block's rows, not over the few
+    coordinates of one row, whose per-loop overhead bound the row-major
+    form. Adding the squared coordinates down axis 0 adds them one by one,
+    which for dim < 8 is numpy's order along a row to the bit (from 8 terms
+    on, numpy adds a row pairwise, a few ulps away). ``q @ u`` stays on the
+    row-major block: a gemv on the transposed block has other bits.
     """
     # numpy takes the ``q @ u`` of a one-row block as a vector dot, not gemv,
     # with other bits. So a single point is taken as two copies of itself,
@@ -295,8 +310,9 @@ def _distances(points: np.ndarray, origin: np.ndarray, u: np.ndarray, line: bool
         j = i + _BLOCK if n - i > _BLOCK + 1 else n
         q = points[i:j] - origin
         if line:
-            q -= (q @ u)[:, None] * u
-            d[i:j] = np.sqrt(np.add.reduce(q * q, axis=1))
+            r = q.T - np.multiply.outer(u, q @ u)
+            r *= r
+            np.sqrt(np.add.reduce(r, axis=0, out=d[i:j]), out=d[i:j])
         else:
             d[i:j] = np.abs(q @ u)
         i = j
@@ -312,7 +328,8 @@ def _checked_distances(points: np.ndarray, origin: np.ndarray, u: np.ndarray, li
     or ``p - origin`` beyond the float range) are taken again with the row
     and ``origin`` scaled by a power of two 2**-e that brings them below 1;
     a line's residual is scaled again by its largest entry before it is
-    squared. The other rows keep their bits.
+    squared, and its squares are added as in ``_distances``. The other rows
+    keep their bits.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         d = _distances(points, origin, u, line)
@@ -323,10 +340,10 @@ def _checked_distances(points: np.ndarray, origin: np.ndarray, u: np.ndarray, li
         e = np.frexp(np.maximum(np.abs(p).max(axis=1), np.abs(origin).max()))[1]
         q = np.ldexp(p, -e[:, None]) - np.ldexp(origin, -e[:, None])
         if line:
-            r = q - (q @ u)[:, None] * u
-            f = np.frexp(np.abs(r).max(axis=1))[1]
-            r = np.ldexp(r, -f[:, None])
-            d[far] = np.ldexp(np.sqrt(np.add.reduce(r * r, axis=1)), e + f)
+            r = q.T - np.multiply.outer(u, q @ u)
+            f = np.frexp(np.abs(r).max(axis=0))[1]
+            r = np.ldexp(r, -f)
+            d[far] = np.ldexp(np.sqrt(np.add.reduce(r * r, axis=0)), e + f)
         else:
             d[far] = np.ldexp(np.abs(q @ u), e)
     return d

@@ -16,6 +16,8 @@ bitwise-identical clouds, independent of platform or batch size.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,14 +45,26 @@ class LineCloudSpec:
             raise InvalidInputError("start and end must be finite")
         if (start == end).all():
             raise InvalidInputError("start and end must differ")
-        if self.n < 2:
+        n = _converted(operator.index, self.n, "n must be an integer")
+        sigma = _converted(float, self.sigma, "sigma must be a number")
+        seed = _converted(operator.index, self.seed, "seed must be an integer")
+        if n < 2:
             raise InvalidInputError("need at least 2 sample points")
-        if not (np.isfinite(self.sigma) and self.sigma >= 0.0):
+        if not (math.isfinite(sigma) and sigma >= 0.0):
             raise InvalidInputError("sigma must be a nonnegative finite number")
-        if not (0 <= int(self.seed) < 2**64):
+        if not 0 <= seed < 2**64:
             raise InvalidInputError("seed must fit in an unsigned 64-bit integer")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
+        converted = {"start": start, "end": end, "n": n, "sigma": sigma, "seed": seed}
+        for name, value in converted.items():
+            object.__setattr__(self, name, value)
+
+
+def _converted(convert, value, message: str):
+    """``convert(value)``; InvalidInputError(message) where it cannot be done."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInputError(message) from None
 
 
 @dataclass(frozen=True)

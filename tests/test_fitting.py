@@ -25,7 +25,14 @@ from orthoreg import (
     v4_dataset,
 )
 
-from orthoreg.fitting import _BLOCK, FittedHyperplane, FittedLine, ResidualStats, _distances
+from orthoreg.fitting import (
+    _BLOCK,
+    FittedHyperplane,
+    FittedLine,
+    ResidualStats,
+    _checked_distances,
+    _distances,
+)
 
 from _helpers import (
     best_candidate_line_sum_sq,
@@ -339,6 +346,22 @@ class TestFittedFlats:
         with pytest.raises(InvalidInputError, match="non-empty vector of distances"):
             ResidualStats.from_distances(distances)
 
+    @pytest.mark.parametrize("origin", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 1.0]])
+    def test_non_finite_anchor_or_centroid_rejected(self, origin):
+        with pytest.raises(InvalidInputError, match="^anchor must be finite$"):
+            FittedLine(origin, [1.0, 0.0], self.STATS)
+        with pytest.raises(InvalidInputError, match="^centroid must be finite$"):
+            FittedHyperplane([1.0, 0.0], origin, 0.0, self.STATS)
+
+    @pytest.mark.parametrize("distances", [[np.nan], [0.0, -1.0], [1.0, np.nan, 2.0], [-np.inf]])
+    def test_stats_reject_nan_and_negative_distances(self, distances):
+        with pytest.raises(InvalidInputError, match="^distances must be non-negative numbers$"):
+            ResidualStats.from_distances(distances)
+
+    def test_stats_keep_infinite_distances(self):
+        stats = ResidualStats.from_distances([0.0, np.inf])
+        assert stats.sum_abs == stats.sum_sq == np.inf
+
 
 class TestDistances:
     def test_point_on_line(self, five_points_cloud):
@@ -465,19 +488,27 @@ class TestTotalOrthogonalError:
             stats.metric("median")
 
 
-class TestBlockedResiduals:
-    """The residual pass takes row blocks; across block edges its bits are
-    those of the unblocked expressions in ``_helpers``."""
+def _offset_cloud_and_line(n, dim):
+    """A random cloud far from the origin, and a line's origin and unit
+    direction near it."""
+    rng = np.random.default_rng(n * 10 + dim)
+    offset = rng.normal(size=dim) * 10.0 ** float(rng.uniform(0, 8))
+    cloud = PointCloud(rng.normal(size=(n, dim)) * rng.uniform(0.1, 3.0, size=dim) + offset)
+    origin = rng.normal(size=dim) + offset
+    u = rng.normal(size=dim)
+    return cloud, origin, u / np.linalg.norm(u)
 
-    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+
+class TestBlockedResiduals:
+    """The residual pass takes row blocks, and a line's in coordinate-major
+    form; across block edges its bits are those of the unblocked row-major
+    expressions in ``_helpers`` wherever numpy adds a row's squares one by
+    one, that is for fewer than 8 coordinates."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
     @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
     def test_same_bits_as_one_unblocked_pass(self, n, dim):
-        rng = np.random.default_rng(n * 10 + dim)
-        offset = rng.normal(size=dim) * 10.0 ** float(rng.uniform(0, 8))
-        cloud = PointCloud(rng.normal(size=(n, dim)) * rng.uniform(0.1, 3.0, size=dim) + offset)
-        origin = rng.normal(size=dim) + offset
-        u = rng.normal(size=dim)
-        u /= np.linalg.norm(u)
+        cloud, origin, u = _offset_cloud_and_line(n, dim)
         assert (_distances(cloud.points, origin, u, True).tobytes()
                 == reference_line_distances(cloud.points, origin, u).tobytes())
         assert (_distances(cloud.points, origin, u, False).tobytes()
@@ -494,6 +525,34 @@ class TestBlockedResiduals:
             for stats in (model.error, total_orthogonal_error(cloud, model)):
                 assert stats.per_point_distance.tobytes() == expected.per_point_distance.tobytes()
                 assert (stats.sum_sq, stats.sum_abs) == (expected.sum_sq, expected.sum_abs)
+
+    @pytest.mark.parametrize("dim", [8, 9, 10])
+    def test_eight_or_more_coordinates_within_a_few_ulps(self, dim):
+        """From 8 terms on, numpy adds a row's squares pairwise, while the pass
+        adds them one by one. Either order is within dim - 1 roundings of the
+        exact sum of the non-negative squares, so the two sums differ by at
+        most 2 (dim - 1) * 2**-53 relatively; the square root halves that and
+        rounds each once more. An ulp is at least 2**-53 of the distance."""
+        cloud, origin, u = _offset_cloud_and_line(2 * _BLOCK + 7, dim)
+        got = _distances(cloud.points, origin, u, True)
+        expected = reference_line_distances(cloud.points, origin, u)
+        assert (np.abs(got - expected) <= (dim + 1) * np.spacing(expected)).all()
+
+    @pytest.mark.parametrize("dim", [2, 3, 7, 9])
+    def test_rescue_adds_the_squares_in_the_same_order(self, dim):
+        """``_checked_distances`` keeps ``_distances``' bits on the rows that need
+        no rescue. Rows scaled by 2**1000 have squares beyond the float range;
+        the rescue scales them back by powers of two, which is exact, so it
+        finds the unscaled distances times 2**1000 to the bit."""
+        rng = np.random.default_rng(dim)
+        near = rng.normal(size=(40, dim))
+        origin = np.zeros(dim)
+        u = rng.normal(size=dim)
+        u /= np.linalg.norm(u)
+        expected = _distances(near, origin, u, True)
+        got = _checked_distances(np.vstack((near, np.ldexp(near, 1000))), origin, u, True)
+        assert got[:40].tobytes() == expected.tobytes()
+        assert got[40:].tobytes() == np.ldexp(expected, 1000).tobytes()
 
 
 class TestResidualMemory:

@@ -3,6 +3,8 @@ converts them with ``errors.float_array``, so a ragged, non-numeric or
 wrongly shaped value raises InvalidInputError (exit 3), never numpy's or
 Python's own ValueError or TypeError."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,7 @@ BAD_VALUES = [
     ("string", lambda wrong_rank: "abc"),
     ("object", lambda wrong_rank: object()),
     ("wrong-rank", lambda wrong_rank: wrong_rank),
+    ("complex", lambda wrong_rank: np.asarray(wrong_rank) + 1j),
 ]
 
 
@@ -92,6 +95,20 @@ class TestFloatArray:
             float_array([[1, 2]], (None, 3), "m")
         with pytest.raises(InvalidInputError, match="^m$"):
             float_array([1, 2, 3], (None, 3), "m")
+
+    @pytest.mark.parametrize("value", [
+        np.array([[1 + 1j, 2.0]]),
+        np.array([[1 + 0j, 2.0]]),
+        [[np.complex128(1 + 1j), 2.0]],
+        [np.array([1j, 2.0])],
+    ])
+    def test_complex_values_are_rejected_without_a_warning(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="^m$"):
+                float_array(value, (1, 2), "m")
+            with pytest.raises(InvalidInputError):
+                PointCloud(value)
 
     def test_a_float_array_is_not_copied(self):
         a = np.zeros((4, 2))

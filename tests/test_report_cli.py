@@ -181,10 +181,18 @@ class TestFitRenderMatchesDictRender:
         self.assert_renders_match(csv_report(five_csv, "line"))
 
     def test_non_finite_distances(self, five_csv):
-        data = report_to_dict(csv_report(five_csv, "line"))
+        """No fit yields NaN or negative distances, and ``report_from_dict``
+        rejects them, but stats built field by field can hold them."""
+        report = csv_report(five_csv, "line")
+        data = report_to_dict(report)
         for point, d in zip(data["per_point"], [float("inf"), float("nan"), -float("inf")]):
             point["distance"] = d
-        report = report_from_dict(data)
+        with pytest.raises(InvalidInputError, match="non-negative"):
+            report_from_dict(data)
+        stats = dataclasses.replace(
+            report.model.error, per_point_distance=np.array([p["distance"] for p in data["per_point"]])
+        )
+        report = dataclasses.replace(report, model=dataclasses.replace(report.model, error=stats))
         self.assert_renders_match(report)
         assert '"distance": NaN' in render_fit(report, "json")
 

@@ -46,6 +46,24 @@ class TestSpecValidation:
         with pytest.raises(InvalidInputError):
             reference_spec(seed=2**64)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", "5", "n must be an integer"),
+        ("n", 5.0, "n must be an integer"),
+        ("seed", "42", "seed must be an integer"),
+        ("seed", 4.2, "seed must be an integer"),
+        ("sigma", "x", "sigma must be a number"),
+        ("sigma", None, "sigma must be a number"),
+        ("sigma", 10**400, "sigma must be a number"),
+    ], ids=["n-str", "n-float", "seed-str", "seed-float", "sigma-str", "sigma-none", "sigma-huge-int"])
+    def test_values_of_another_kind_are_rejected(self, field, value, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            reference_spec(**{field: value})
+
+    def test_numpy_scalars_become_python_numbers(self):
+        spec = reference_spec(n=np.int64(50), sigma=np.float32(0.5), seed=np.uint64(42))
+        assert (type(spec.n), type(spec.sigma), type(spec.seed)) == (int, float, int)
+        assert (spec.n, spec.sigma, spec.seed) == (50, 0.5, 42)
+
 
 class TestNoiselessClouds:
     def test_points_exactly_on_segment(self):

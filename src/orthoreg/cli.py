@@ -352,6 +352,12 @@ def _cmd_economy(args):
     if args.data is None:
         by_code = {s.country: s for s in series_list}
         series_list = [by_code[c] for c in V4_REPORT_ORDER]
+    if args.plot:
+        # Each country code names a scene file in the output directory.
+        unsafe = set("/\0" + os.sep + (os.altsep or ""))
+        for series in series_list:
+            if unsafe & set(series.country):
+                raise InvalidInputError(f"country code {series.country!r} cannot name a file")
     indicators = economy_indicators(series_list, metric=args.error_metric)
     text = render_economy(
         indicators, {"input": provenance, "metric": args.error_metric}, args.output_format

@@ -60,11 +60,16 @@ def _text_rows(text: str, delimiter: str):
 
 
 def _resolve_column(name_or_index, header: list[str]) -> int:
-    """Column lookup: header name first, integer position as fallback."""
+    """Column lookup: header name first, integer position as fallback.
+
+    Only ASCII digits, with an optional leading '-', name a position:
+    ``str.isdigit`` also takes '²', which ``int`` rejects, and ``int`` takes
+    other scripts' digits such as '١'.
+    """
     text = str(name_or_index).strip()
     if text in header:
         return header.index(text)
-    if isinstance(name_or_index, int) or text.lstrip("-").isdigit():
+    if text.isascii() and text.removeprefix("-").isdigit():
         idx = int(text)
         if 0 <= idx < len(header):
             return idx

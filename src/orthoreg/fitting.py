@@ -329,23 +329,26 @@ def _checked_distances(points: np.ndarray, origin: np.ndarray, u: np.ndarray, li
     and ``origin`` scaled by a power of two 2**-e that brings them below 1;
     a line's residual is scaled again by its largest entry before it is
     squared, and its squares are added as in ``_distances``. The other rows
-    keep their bits.
+    keep their bits, and a rescued row's bits do not depend on how many rows
+    need rescue: a lone one is taken as two copies of itself, as in
+    ``_distances``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         d = _distances(points, origin, u, line)
         if math.isfinite(d.max()):
             return d
-        far = ~np.isfinite(d)
-        p = points[far]
+        far = np.flatnonzero(~np.isfinite(d))
+        p = points[far.repeat(2) if len(far) == 1 else far]
         e = np.frexp(np.maximum(np.abs(p).max(axis=1), np.abs(origin).max()))[1]
         q = np.ldexp(p, -e[:, None]) - np.ldexp(origin, -e[:, None])
         if line:
             r = q.T - np.multiply.outer(u, q @ u)
             f = np.frexp(np.abs(r).max(axis=0))[1]
             r = np.ldexp(r, -f)
-            d[far] = np.ldexp(np.sqrt(np.add.reduce(r * r, axis=0)), e + f)
+            rescued = np.ldexp(np.sqrt(np.add.reduce(r * r, axis=0)), e + f)
         else:
-            d[far] = np.ldexp(np.abs(q @ u), e)
+            rescued = np.ldexp(np.abs(q @ u), e)
+        d[far] = rescued[: len(far)]
     return d
 
 

@@ -1,5 +1,12 @@
 """Fit reports and their serializations (JSON, CSV, text, 3D scene files).
 
+Each report becomes one dict (``report_to_dict``, ``compare_to_dict``,
+``economy_to_dict``), and one dispatch renders that dict as json, csv
+(key/value rows, or the economy's tables) or text; no renderer reads the
+report object. The one special case is a fit's per-point rows: json and csv
+splice them, and text lists them, from the fit's labels and distances, not
+from a dict per point.
+
 JSON and CSV write floats with ``repr`` (shortest round-tripping decimal
 form), so re-reading a report reproduces every numeric field exactly. The
 text format rounds to 4 decimals for reading, matching the precision of the
@@ -23,6 +30,7 @@ from .eigen import eigen_symmetric
 from .errors import InvalidInputError
 from .fitting import (
     DEFAULT_ERROR_METRIC,
+    ERROR_METRICS,
     FittedHyperplane,
     FittedLine,
     PointCloud,
@@ -77,46 +85,35 @@ def _vec(v) -> list[float]:
     return [float(x) for x in v]
 
 
+def _plane_dict(plane: FittedHyperplane) -> dict:
+    return {
+        "normal": _vec(plane.normal),
+        "centroid": _vec(plane.centroid),
+        "offset": float(plane.offset),
+    }
+
+
 def _model_dict(model) -> dict:
     if isinstance(model, FittedLine):
-        return {
-            "geometry": "line",
-            "anchor": _vec(model.anchor),
-            "direction": _vec(model.direction),
-        }
+        return {"geometry": "line", "anchor": _vec(model.anchor),
+                "direction": _vec(model.direction)}
     if isinstance(model, FittedHyperplane):
-        return {
-            "geometry": "plane",
-            "normal": _vec(model.normal),
-            "centroid": _vec(model.centroid),
-            "offset": float(model.offset),
-        }
+        return {"geometry": "plane", **_plane_dict(model)}
     raise InvalidInputError("model must be a FittedLine or FittedHyperplane")
-
-
-def _residuals_dict(stats: ResidualStats) -> dict:
-    return {
-        "sum_sq": stats.sum_sq,
-        "root_sum_sq": stats.root_sum_sq,
-        "rms": stats.rms,
-        "sum_abs": stats.sum_abs,
-    }
 
 
 def _report_dict(report: FitReport, per_point: list) -> dict:
     return {
         "model": _model_dict(report.model),
         "err": report.err,
-        "residuals": _residuals_dict(report.model.error),
+        "residuals": {name: report.model.error.metric(name) for name in ERROR_METRICS},
         "per_point": per_point,
         "metadata": dict(report.metadata),
     }
 
 
 def report_to_dict(report: FitReport) -> dict:
-    return _report_dict(
-        report, [{"label": lab, "distance": d} for lab, d in report.per_point]
-    )
+    return _report_dict(report, [{"label": lab, "distance": d} for lab, d in report.per_point])
 
 
 def report_from_dict(data: dict) -> FitReport:
@@ -139,8 +136,30 @@ def report_from_dict(data: dict) -> FitReport:
     )
 
 
-def _to_json(data: dict) -> str:
-    return json.dumps(data, indent=2) + "\n"
+#: A fit's per-point items as json.dumps(..., indent=2) writes them inside
+#: the report, and as rows of the flattened key/value csv.
+_JSON_POINT = '    {{\n      "label": {},\n      "distance": {}\n    }}'
+_CSV_POINT = "per_point.{0}.label,{1}\nper_point.{0}.distance,{2}\n"
+#: json.dumps' spelling of the non-finite floats (allow_nan=True).
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _to_json(data: dict, points=None) -> str:
+    """``json.dumps(data, indent=2)``; a fit's ``points`` (labels, distances)
+    are the items of ``data``'s empty ``per_point`` list."""
+    text = json.dumps(data, indent=2) + "\n"
+    if points is None:
+        return text
+    # The first match is the key: a quote inside a JSON string is escaped.
+    head, _, tail = text.partition('"per_point": []')
+    labels, distances = points
+    distances = list(map(float.__repr__, distances))
+    items = map(
+        _JSON_POINT.format,
+        map(encode_basestring_ascii, labels),
+        map(_JSON_NON_FINITE.get, distances, distances),
+    )
+    return "".join((head, '"per_point": [\n', ",\n".join(items), "\n  ]", tail))
 
 
 def _kv_rows(pairs) -> str:
@@ -162,48 +181,39 @@ def _flatten(prefix: str, data, pairs: list) -> None:
         pairs.append((prefix, "" if data is None else str(data)))
 
 
-def _to_kv_csv(data: dict) -> str:
+def _to_kv_csv(data: dict, points=None) -> str:
+    """``data`` flattened to key/value rows; a fit's ``points`` (labels,
+    distances) are the rows of ``data``'s empty ``per_point`` list."""
+    joined = "".join(points[0]) if points else ""
+    if any(c in joined for c in ',"\r\n'):
+        # csv.writer may quote such a label: let it write every point row.
+        data = {**data, "per_point": [{"label": lab, "distance": d} for lab, d in zip(*points)]}
+        points = None
     pairs: list = [("key", "value")]
-    _flatten("", data, pairs)
-    return _kv_rows(pairs)
+    split = 0
+    for key, value in data.items():
+        if key == "per_point":
+            split = len(pairs)
+        _flatten(key, value, pairs)
+    if points is None:
+        return _kv_rows(pairs)
+    labels, distances = points
+    rows = map(_CSV_POINT.format, range(len(labels)), labels, map(float.__repr__, distances))
+    return "".join((_kv_rows(pairs[:split]), "".join(rows), _kv_rows(pairs[split:])))
 
 
-#: The per-point items as json.dumps(..., indent=2) writes them inside the
-#: report, and as rows of the flattened key/value csv.
-_JSON_POINT = '    {{\n      "label": {},\n      "distance": {}\n    }}'
-_CSV_POINT = "per_point.{0}.label,{1}\nper_point.{0}.distance,{2}\n"
-#: json.dumps' spelling of the non-finite floats (allow_nan=True).
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _fit_json(report: FitReport) -> str:
-    """``_to_json(report_to_dict(report))``, with the points joined directly."""
-    text = _to_json(_report_dict(report, []))
-    # The first match is the key: a quote inside a JSON string is escaped.
-    head, _, tail = text.partition('"per_point": []')
-    distances = list(map(float.__repr__, report.model.error.per_point_distance.tolist()))
-    items = map(
-        _JSON_POINT.format,
-        map(encode_basestring_ascii, report.labels),
-        map(_JSON_NON_FINITE.get, distances, distances),
-    )
-    return "".join((head, '"per_point": [\n', ",\n".join(items), "\n  ]", tail))
-
-
-def _fit_kv_csv(report: FitReport) -> str:
-    """``_to_kv_csv(report_to_dict(report))``, with the points joined directly."""
-    joined = "".join(report.labels)
-    if any(c in joined for c in ',"\r\n'):  # a label csv.writer may quote
-        return _to_kv_csv(report_to_dict(report))
-    data = _report_dict(report, [])
-    metadata = data.pop("metadata")  # the rows after the points
-    head: list = [("key", "value")]
-    _flatten("", data, head)
-    tail: list = []
-    _flatten("metadata", metadata, tail)
-    distances = map(float.__repr__, report.model.error.per_point_distance.tolist())
-    points = map(_CSV_POINT.format, range(len(report.labels)), report.labels, distances)
-    return "".join((_kv_rows(head), "".join(points), _kv_rows(tail)))
+def _render(output_format: str, data: dict, text, csv=None, points=None) -> str:
+    """``data`` as json, as csv (``csv(data)``, by default its key/value
+    rows) or as ``text(data)``. ``points``, a fit's (labels, distances), are
+    the json and key/value csv rows of the empty ``per_point``, and go to
+    ``text(data, points)``."""
+    if output_format == "json":
+        return _to_json(data, points)
+    if output_format == "csv":
+        return csv(data) if csv else _to_kv_csv(data, points)
+    if output_format == "text":
+        return text(data) if points is None else text(data, points)
+    raise InvalidInputError(f"unknown output format {output_format!r}")
 
 
 def _f4(value) -> str:
@@ -214,29 +224,25 @@ def _vec4(v) -> str:
     return "(" + ", ".join(_f4(x) for x in v) + ")"
 
 
+def _fit_text(data: dict, points) -> str:
+    model = data["model"]
+    lines = [f"geometry: {model['geometry']}"]
+    if model["geometry"] == "line":
+        lines += [f"anchor:    {_vec4(model['anchor'])}",
+                  f"direction: {_vec4(model['direction'])}"]
+    else:
+        lines += [f"normal:   {_vec4(model['normal'])}",
+                  f"centroid: {_vec4(model['centroid'])}",
+                  f"offset:   {_f4(model['offset'])}"]
+    metric = data["metadata"].get("metric", DEFAULT_ERROR_METRIC)
+    lines += [f"err ({metric}): {_f4(data['err'])}", "per-point distances:"]
+    lines.extend(f"  {label:>8}  {d:.4f}" for label, d in zip(*points))
+    return "\n".join(lines) + "\n"
+
+
 def render_fit(report: FitReport, output_format: str) -> str:
-    if output_format == "json":
-        return _fit_json(report)
-    if output_format == "csv":
-        return _fit_kv_csv(report)
-    if output_format == "text":
-        lines = []
-        model = report.model
-        if isinstance(model, FittedLine):
-            lines.append("geometry: line")
-            lines.append(f"anchor:    {_vec4(model.anchor)}")
-            lines.append(f"direction: {_vec4(model.direction)}")
-        else:
-            lines.append("geometry: plane")
-            lines.append(f"normal:   {_vec4(model.normal)}")
-            lines.append(f"centroid: {_vec4(model.centroid)}")
-            lines.append(f"offset:   {_f4(model.offset)}")
-        metric = report.metadata.get("metric", DEFAULT_ERROR_METRIC)
-        lines.append(f"err ({metric}): {_f4(report.err)}")
-        lines.append("per-point distances:")
-        lines.extend(f"  {label:>8}  {d:.4f}" for label, d in report.per_point)
-        return "\n".join(lines) + "\n"
-    raise InvalidInputError(f"unknown output format {output_format!r}")
+    points = (report.labels, report.model.error.per_point_distance.tolist())
+    return _render(output_format, _report_dict(report, []), _fit_text, points=points)
 
 
 def _line2d_dict(line) -> dict | None:
@@ -269,120 +275,99 @@ def compare_to_dict(report: ComparisonReport, metadata: dict) -> dict:
     }
 
 
+def _compare_text(data: dict) -> str:
+    lines = [f"centroid: {_vec4(data['centroid'])}"]
+    for key, name, y, x, constant in (
+        ("ols", "classical (y on x)", "y", "x", "xs"),
+        ("conjugate", "conjugate (x on y)", "x", "y", "ys"),
+    ):
+        line = data[key]
+        if line is None:
+            lines.append(f"{name}: unavailable ({constant} constant)")
+        else:
+            lines.append(f"{name}: {y} = {_f4(line['slope'])} {x} + {_f4(line['intercept'])}")
+    tls = data["tls"]
+    lines.append(
+        f"orthogonal: anchor {_vec4(tls['anchor'])}, "
+        f"direction {_vec4(tls['direction'])}, sum_sq {_f4(tls['sum_sq'])}"
+    )
+    names = ("classical/conjugate", "classical/orthogonal", "conjugate/orthogonal")
+    for name, angle in zip(names, data["angles_deg"].values()):
+        if angle is not None:
+            lines.append(f"angle {name}: {_f4(angle)} deg")
+    if data["tls_between_scissors"] is not None:
+        lines.append(f"orthogonal line inside the scissors: {data['tls_between_scissors']}")
+    return "\n".join(lines) + "\n"
+
+
 def render_compare(report: ComparisonReport, metadata: dict, output_format: str) -> str:
-    data = compare_to_dict(report, metadata)
-    if output_format == "json":
-        return _to_json(data)
-    if output_format == "csv":
-        return _to_kv_csv(data)
-    if output_format == "text":
-        lines = [f"centroid: {_vec4(report.centroid)}"]
-        if report.ols is not None:
-            lines.append(
-                f"classical (y on x): y = {_f4(report.ols.slope)} x + {_f4(report.ols.intercept)}"
-            )
-        else:
-            lines.append("classical (y on x): unavailable (xs constant)")
-        if report.conjugate is not None:
-            lines.append(
-                f"conjugate (x on y): x = {_f4(report.conjugate.slope)} y + "
-                f"{_f4(report.conjugate.intercept)}"
-            )
-        else:
-            lines.append("conjugate (x on y): unavailable (ys constant)")
-        lines.append(
-            f"orthogonal: anchor {_vec4(report.tls.anchor)}, "
-            f"direction {_vec4(report.tls.direction)}, sum_sq {_f4(report.tls.error.sum_sq)}"
-        )
-        for name, value in (
-            ("classical/conjugate", report.angle_ols_conjugate_deg),
-            ("classical/orthogonal", report.angle_ols_tls_deg),
-            ("conjugate/orthogonal", report.angle_conjugate_tls_deg),
-        ):
-            if value is not None:
-                lines.append(f"angle {name}: {_f4(value)} deg")
-        if report.tls_between_scissors is not None:
-            lines.append(f"orthogonal line inside the scissors: {report.tls_between_scissors}")
-        return "\n".join(lines) + "\n"
-    raise InvalidInputError(f"unknown output format {output_format!r}")
+    return _render(output_format, compare_to_dict(report, metadata), _compare_text)
+
+
+_SLOPE_NAMES = tuple(name for name, _ in COORDINATE_PLANES)
 
 
 def economy_to_dict(indicators: EconomyIndicators, metadata: dict) -> dict:
-    planes = []
-    for ep in indicators.planes:
-        planes.append(
-            {
-                "country": ep.country,
-                "normal": _vec(ep.plane.normal),
-                "centroid": _vec(ep.plane.centroid),
-                "offset": float(ep.plane.offset),
-                "err": ep.err_reported,
-                "yearly_distances": {str(y): d for y, d in ep.yearly_distances.items()},
-            }
-        )
-    slope_names = [name for name, _ in COORDINATE_PLANES]
+    planes = [
+        {
+            "country": ep.country,
+            **_plane_dict(ep.plane),
+            "err": ep.err_reported,
+            "yearly_distances": {str(y): d for y, d in ep.yearly_distances.items()},
+        }
+        for ep in indicators.planes
+    ]
     return {
         "countries": list(indicators.countries),
         "planes": planes,
         "pairwise_angles_deg": [[float(a) for a in row] for row in indicators.pairwise_angles_deg],
-        "slopes_deg": {
-            country: dict(zip(slope_names, values))
-            for country, values in indicators.slopes.items()
-        },
+        "slopes_deg": {c: dict(zip(_SLOPE_NAMES, v)) for c, v in indicators.slopes.items()},
         "metadata": {**metadata, "version": __version__},
     }
 
 
+def _economy_csv(data: dict) -> str:
+    """Three tables: each plane, the pairwise angles, the slopes."""
+    def reprs(values):
+        return [repr(float(x)) for x in values]
+
+    countries = data["countries"]
+    rows = [["country", "normal_u", "normal_g", "normal_i",
+             "centroid_u", "centroid_g", "centroid_i", "err"]]
+    rows += [[p["country"], *reprs(p["normal"]), *reprs(p["centroid"]), *reprs([p["err"]])]
+             for p in data["planes"]]
+    rows += [[], ["angle_deg", *countries]]
+    rows += [[c, *reprs(row)] for c, row in zip(countries, data["pairwise_angles_deg"])]
+    rows += [[], ["country", *_SLOPE_NAMES]]
+    rows += [[c, *reprs(data["slopes_deg"][c].values())] for c in countries]
+    return _kv_rows(rows)
+
+
+def _economy_text(data: dict) -> str:
+    countries = data["countries"]
+    lines = ["country   normal                          centroid                        err"]
+    lines += [
+        f"{p['country']:<8}  {_vec4(p['normal']):<30}  {_vec4(p['centroid']):<30}  {_f4(p['err'])}"
+        for p in data["planes"]
+    ]
+    lines += ["", "pairwise plane angles (deg):",
+              "        " + "".join(f"{c:>10}" for c in countries)]
+    lines += [
+        f"{c:<8}" + "".join(f"{_f4(a):>10}" for a in row)
+        for c, row in zip(countries, data["pairwise_angles_deg"])
+    ]
+    lines += ["", "plane slopes against coordinate planes (deg):",
+              "        " + "".join(f"{name:>26}" for name in _SLOPE_NAMES)]
+    lines += [
+        f"{c:<8}" + "".join(f"{_f4(s):>26}" for s in data["slopes_deg"][c].values())
+        for c in countries
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def render_economy(indicators: EconomyIndicators, metadata: dict, output_format: str) -> str:
     data = economy_to_dict(indicators, metadata)
-    if output_format == "json":
-        return _to_json(data)
-    if output_format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["country", "normal_u", "normal_g", "normal_i",
-             "centroid_u", "centroid_g", "centroid_i", "err"]
-        )
-        for ep in indicators.planes:
-            writer.writerow(
-                [ep.country]
-                + [repr(float(x)) for x in ep.plane.normal]
-                + [repr(float(x)) for x in ep.plane.centroid]
-                + [repr(float(ep.err_reported))]
-            )
-        writer.writerow([])
-        writer.writerow(["angle_deg", *indicators.countries])
-        for country, row in zip(indicators.countries, indicators.pairwise_angles_deg):
-            writer.writerow([country, *[repr(float(a)) for a in row]])
-        writer.writerow([])
-        writer.writerow(["country", *[name for name, _ in COORDINATE_PLANES]])
-        for country in indicators.countries:
-            writer.writerow([country, *[repr(float(s)) for s in indicators.slopes[country]]])
-        return out.getvalue()
-    if output_format == "text":
-        lines = ["country   normal                          centroid                        err"]
-        for ep in indicators.planes:
-            lines.append(
-                f"{ep.country:<8}  {_vec4(ep.plane.normal):<30}  "
-                f"{_vec4(ep.plane.centroid):<30}  {_f4(ep.err_reported)}"
-            )
-        lines.append("")
-        lines.append("pairwise plane angles (deg):")
-        header = "        " + "".join(f"{c:>10}" for c in indicators.countries)
-        lines.append(header)
-        for country, row in zip(indicators.countries, indicators.pairwise_angles_deg):
-            lines.append(f"{country:<8}" + "".join(f"{_f4(a):>10}" for a in row))
-        lines.append("")
-        lines.append("plane slopes against coordinate planes (deg):")
-        lines.append("        " + "".join(f"{name:>26}" for name, _ in COORDINATE_PLANES))
-        for country in indicators.countries:
-            lines.append(
-                f"{country:<8}"
-                + "".join(f"{_f4(s):>26}" for s in indicators.slopes[country])
-            )
-        return "\n".join(lines) + "\n"
-    raise InvalidInputError(f"unknown output format {output_format!r}")
+    return _render(output_format, data, _economy_text, csv=_economy_csv)
 
 
 def scene_dict(plane: EconomyPlane, cloud: PointCloud) -> dict:
@@ -392,43 +377,24 @@ def scene_dict(plane: EconomyPlane, cloud: PointCloud) -> dict:
     in-plane principal axes, sized to cover the projected data with a small
     margin. Intended for external 3D viewers; nothing here renders it.
     """
-    dec = eigen_symmetric(scatter_matrix(cloud))
-    e1, e2 = dec.eigenvectors[0], dec.eigenvectors[1]
-    b = cloud.points - plane.plane.centroid
-    half_u = 1.1 * float(np.abs(b @ e1).max() or 1.0)
-    half_v = 1.1 * float(np.abs(b @ e2).max() or 1.0)
+    e1, e2 = eigen_symmetric(scatter_matrix(cloud)).eigenvectors[:2]
     c = plane.plane.centroid
-    corners = [
-        c + half_u * e1 + half_v * e2,
-        c + half_u * e1 - half_v * e2,
-        c - half_u * e1 - half_v * e2,
-        c - half_u * e1 + half_v * e2,
-    ]
+    b = cloud.points - c
+    half_u, half_v = (1.1 * float(np.abs(b @ e).max() or 1.0) for e in (e1, e2))
+    signs = ((1, 1), (1, -1), (-1, -1), (-1, 1))
+    corners = [c + s * half_u * e1 + t * half_v * e2 for s, t in signs]
     return {
         "country": plane.country,
         "labels": list(point_labels(cloud)),
         "points": [_vec(p) for p in cloud.points],
         "trajectory": list(range(len(cloud))),
-        "plane": {
-            "normal": _vec(plane.plane.normal),
-            "centroid": _vec(c),
-            "offset": float(plane.plane.offset),
-            "corners": [_vec(p) for p in corners],
-        },
+        "plane": {**_plane_dict(plane.plane), "corners": [_vec(p) for p in corners]},
         "version": __version__,
     }
 
 
 __all__ = [
-    "FitReport",
-    "build_fit_report",
-    "report_to_dict",
-    "report_from_dict",
-    "render_fit",
-    "compare_to_dict",
-    "render_compare",
-    "economy_to_dict",
-    "render_economy",
-    "scene_dict",
+    "FitReport", "build_fit_report", "report_to_dict", "report_from_dict", "render_fit",
+    "compare_to_dict", "render_compare", "economy_to_dict", "render_economy", "scene_dict",
     "point_labels",
 ]

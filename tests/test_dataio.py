@@ -77,6 +77,20 @@ class TestParseCloudCsv:
         with pytest.raises(SchemaError, match="gdp"):
             parse_cloud_csv(SAMPLE, columns=("u", "gdp"))
 
+    @pytest.mark.parametrize("name", ["\u00b2", "\u0661", "--1", "+1", "1.0", "-1", "4"])
+    def test_only_ascii_digits_name_a_position(self, name):
+        """'²' passes str.isdigit but not int, and int takes the Arabic-Indic
+        '١' as 1: neither names a column, in the bulk or the row parser."""
+        assert dataio._parse_cloud_bulk(SAMPLE, (name, "u"), None, ",") is None
+        with pytest.raises(SchemaError, match="not found"):
+            dataio._parse_cloud_rows(SAMPLE, (name, "u"), None, ",")
+        with pytest.raises(SchemaError, match="not found"):
+            parse_cloud_csv(SAMPLE, label_column=name)
+
+    def test_a_header_name_of_digits_is_a_name(self):
+        cloud = parse_cloud_csv("\u00b2,1\n2,3\n4,5\n", columns=("\u00b2", "1"))
+        assert (cloud.points == [[2.0, 3.0], [4.0, 5.0]]).all()
+
     def test_non_numeric_cell_names_row_and_column(self):
         bad = "year,u,g,i\n1994,13.7,n/a,13.4\n"
         with pytest.raises(ParseError, match=r"row 2.*'g'"):

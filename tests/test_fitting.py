@@ -554,6 +554,29 @@ class TestBlockedResiduals:
         assert got[:40].tobytes() == expected.tobytes()
         assert got[40:].tobytes() == np.ldexp(expected, 1000).tobytes()
 
+    @pytest.mark.parametrize("line", [True, False])
+    def test_a_rescued_row_has_the_same_bits_alone_and_in_a_group(self, line):
+        """numpy takes a one-row ``q @ u`` as a vector dot, with other bits
+        than the matrix-vector product of several rows, so a lone far row is
+        rescued as two copies of itself. A line's rows at 2**1000 have
+        squares beyond the float range; a plane's rows lie across the origin
+        from a far ``origin``, so that ``p - origin`` overflows."""
+        rng = np.random.default_rng(1)
+        for trial in range(200):
+            dim = 2 + trial % 4
+            if line:
+                points, origin = rng.normal(size=(3, dim)) * 2.0**1000, np.zeros(dim)
+            else:
+                points = rng.uniform(1.0, 1.9, size=(3, dim)) * 2.0**1023
+                origin = -rng.uniform(1.0, 1.9, size=dim) * 2.0**1023
+            u = rng.normal(size=dim)
+            u /= np.linalg.norm(u)
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert not np.isfinite(_distances(points, origin, u, line)).any()
+            alone = [_checked_distances(p[None], origin, u, line) for p in points]
+            group = _checked_distances(points, origin, u, line)
+            assert np.concatenate(alone).tobytes() == group.tobytes()
+
 
 class TestResidualMemory:
     """The residual pass holds a few blocks of rows, not copies of the cloud:

@@ -648,6 +648,14 @@ class TestCliExitCodes:
         assert captured.out == ""
         assert "field larger than field limit" in captured.err
 
+    @pytest.mark.parametrize("columns", ["\u00b2,y", "\u0661,y"])
+    def test_non_ascii_digit_column_is_3(self, five_csv, capsys, columns):
+        argv = ["fit", "--input", five_csv, "--geometry", "line", "--columns", columns]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not found" in captured.err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
@@ -712,6 +720,23 @@ class TestCliAllOrNothing:
         assert f"error: cannot write {out / 'scene_SK.json'}:" in captured.err
         assert [p.name for p in out.iterdir()] == ["scene_SK.json"]
         assert not any((out / "scene_SK.json").iterdir())
+
+    @pytest.mark.parametrize("code", ["a/../../../esc", "S\0K", "/abs"])
+    def test_country_code_that_is_no_file_name_is_3(self, tmp_path, monkeypatch, capsys, code):
+        """A scene file is named by its country code: a code with a path
+        separator or NUL fails before any file or temporary is written."""
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        text = format_indicator_csv(v4_dataset()).replace("\nSK,", f"\n{code},")
+        (tmp_path / "data.csv").write_text(text, encoding="utf-8")
+        data = str(tmp_path / "data.csv")
+        argv = ["economy", "--data", data, "--plot", "--output-dir", "out/sub"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: " in captured.err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["data.csv", "work"]
 
     def test_files_replace_existing(self, tmp_path, five_csv, capsys):
         out = tmp_path / "plots"

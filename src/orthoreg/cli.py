@@ -161,7 +161,9 @@ def _write_files(files) -> None:
 
     Each file is first written to a temporary sibling in its target
     directory; only when all are written are they renamed into place, so a
-    failure leaves no target file and no temporary behind.
+    failure leaves no target file and no temporary behind. A path that the
+    system rejects (OSError) or that holds a NUL byte (ValueError, which
+    only an in-process caller of ``main(argv)`` can pass) is a usage error.
     """
     staged = []
     try:
@@ -176,9 +178,11 @@ def _write_files(files) -> None:
             temporary.write_text(content, encoding="utf-8")
         for temporary, path in staged:
             os.replace(temporary, path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         for temporary, _ in staged:
-            temporary.unlink(missing_ok=True)
+            # exists() is False, where unlink() would raise, for a NUL path.
+            if temporary.exists():
+                temporary.unlink()
         raise UsageError(f"cannot write {path}: {exc}") from None
     for _, path in staged:
         print(f"wrote {path}", file=sys.stderr)

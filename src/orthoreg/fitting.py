@@ -19,6 +19,13 @@ is ``(a - c)[i:j]`` to the bit), so its temporaries are a few blocks whatever
 the cloud's size, and a fit's centred copy is freed once the scatter matrix
 is formed. ``_checked_distances`` adds the rescue of distances whose squares
 leave the float range; a fit's spread rule already rules them out.
+
+Every pass over the n rows runs numpy's inner loop down the rows, not across
+the few coordinates of one row, whose per-loop overhead would dominate: the
+column sums go through ``einsum`` (``_column_means``), the centring through
+a tiled centre (``_minus``), and a line's residuals are coordinate-major.
+Each keeps numpy's operations in numpy's order, so every result has the
+bits of the plain expressions ``a.mean(axis=0)``, ``a - c`` and ``q @ u``.
 """
 
 from __future__ import annotations
@@ -45,6 +52,10 @@ RANK_TOLERANCE = 1e-12
 
 #: Rows per block of the residual pass (see ``_distances``).
 _BLOCK = 2**15
+
+#: Rows over which a centre is tiled (see ``_minus``); below it the plain
+#: numpy expressions cost less than the row-major passes.
+_TILE = 2**8
 
 #: Largest departure from unit length of a fitted flat's direction or normal.
 #: Fitted vectors come within about 1e-15.
@@ -183,19 +194,53 @@ def _column_means(a: np.ndarray) -> np.ndarray:
     """``a.mean(axis=0)``, also where a column sum overflows. Call it under
     ``np.errstate(over="ignore", invalid="ignore")``.
 
-    Such a sum is taken again over ``a * 2**-k``, with ``2**k >= len(a)`` so
-    that it cannot overflow, and its mean is scaled back. Rounding can carry
-    that mean just past the column's least or greatest entry (a constant
-    column at 1.5e308 would get a spread of one ulp there, 2e292), so the
-    mean is clamped to them.
+    numpy's ``add.reduce`` on a row-major (n, d) array adds the rows one by
+    one, but through an inner loop only d entries long per row, whose
+    overhead dominates for a few coordinates. ``einsum("ij->j")`` adds the
+    rows in the same order with its loop running down the rows, so it has
+    the same bits, several times faster. Where the reduced axis is the
+    inner one, as for 1-D values (``regression``), a single column or a
+    Fortran-ordered cloud (which ``np.array([xs, ys, zs]).T`` gives),
+    ``add.reduce`` adds pairwise and einsum does not, so those keep it. So
+    do clouds of fewer than ``_TILE`` points, where einsum's call costs
+    more than it saves.
+
+    A sum that overflows is taken again over ``a * 2**-k``, with
+    ``2**k >= len(a)`` so that it cannot overflow, and its mean is scaled
+    back. Rounding can carry that mean just past the column's least or
+    greatest entry (a constant column at 1.5e308 would get a spread of one
+    ulp there, 2e292), so the mean is clamped to them.
     """
     n = a.shape[0]
-    total = np.add.reduce(a, axis=0)  # a numpy scalar when ``a`` is 1-D
+    by_rows = n >= _TILE and a.ndim == 2 and a.shape[1] > 1 and abs(a.strides[0]) > abs(a.strides[1])
+    total = np.einsum("ij->j", a) if by_rows else np.add.reduce(a, axis=0)  # a scalar for 1-D
     if all(map(math.isfinite, total.reshape(-1).tolist())):
         return total / n
     k = n.bit_length()
     mean = np.ldexp(np.add.reduce(np.ldexp(a, -k), axis=0) / n, k)
     return np.clip(mean, a.min(axis=0), a.max(axis=0))
+
+
+def _minus(a: np.ndarray, c) -> np.ndarray:
+    """``a - c`` to the bit, in the layout of ``a``.
+
+    On C-ordered points ``a - c`` broadcasts ``c`` over each row, an inner
+    loop only d entries long. So each ``_TILE`` rows are taken as one row of
+    an (n // _TILE, _TILE * d) view, less ``c`` tiled over ``_TILE`` rows:
+    the loop runs over ``_TILE * d`` entries, and each entry still gets its
+    one subtraction. The last n % _TILE rows broadcast. Other layouts keep
+    ``a - c``; on a Fortran-ordered cloud its loop already runs down the
+    columns. So do fewer than ``_TILE`` rows, where the tile would cost
+    more than it saves.
+    """
+    if len(a) < _TILE or a.ndim == 1 or not a.flags.c_contiguous:
+        return a - c
+    b = np.empty(a.shape)
+    split = len(a) - len(a) % _TILE
+    width = _TILE * a.shape[1]
+    np.subtract(a[:split].reshape(-1, width), np.tile(c, _TILE), out=b[:split].reshape(-1, width))
+    np.subtract(a[split:], c, out=b[split:])
+    return b
 
 
 def _centre(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,11 +252,11 @@ def _centre(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         c = _column_means(a)
-        b = a - c
+        b = _minus(a, c)
         pairs = zip(b[0].reshape(-1).tolist(), a[0].reshape(-1).tolist())
         if any(0.0 < abs(x) <= len(a) * math.ulp(v) for x, v in pairs):
             c = np.where((a == a[0]).all(axis=0), a[0], c)[()]
-            b = a - c
+            b = _minus(a, c)
     return c, b
 
 
@@ -296,7 +341,8 @@ def _distances(points: np.ndarray, origin: np.ndarray, u: np.ndarray, line: bool
     form. Adding the squared coordinates down axis 0 adds them one by one,
     which for dim < 8 is numpy's order along a row to the bit (from 8 terms
     on, numpy adds a row pairwise, a few ulps away). ``q @ u`` stays on the
-    row-major block: a gemv on the transposed block has other bits.
+    row-major block: a gemv on the transposed block has other bits. Each
+    block is centred by ``_minus``; a line's residuals reuse one buffer.
     """
     # numpy takes the ``q @ u`` of a one-row block as a vector dot, not gemv,
     # with other bits. So a single point is taken as two copies of itself,
@@ -305,16 +351,20 @@ def _distances(points: np.ndarray, origin: np.ndarray, u: np.ndarray, line: bool
         return _distances(np.vstack((points, points)), origin, u, line)[:1]
     n = points.shape[0]
     d = np.empty(n)
+    r = np.empty((points.shape[1], min(n, _BLOCK + 1))) if line else None
     i = 0
     while i < n:
         j = i + _BLOCK if n - i > _BLOCK + 1 else n
-        q = points[i:j] - origin
+        q, out = _minus(points[i:j], origin), d[i:j]
+        np.matmul(q, u, out=out)
         if line:
-            r = q.T - np.multiply.outer(u, q @ u)
-            r *= r
-            np.sqrt(np.add.reduce(r, axis=0, out=d[i:j]), out=d[i:j])
+            rq = r[:, : j - i]
+            np.multiply.outer(u, out, out=rq)
+            np.subtract(q.T, rq, out=rq)
+            rq *= rq
+            np.sqrt(np.add.reduce(rq, axis=0, out=out), out=out)
         else:
-            d[i:j] = np.abs(q @ u)
+            np.abs(out, out=out)
         i = j
     return d
 

@@ -31,6 +31,7 @@ from orthoreg.fitting import (
     FittedLine,
     ResidualStats,
     _checked_distances,
+    _column_means,
     _distances,
 )
 
@@ -576,6 +577,94 @@ class TestBlockedResiduals:
             alone = [_checked_distances(p[None], origin, u, line) for p in points]
             group = _checked_distances(points, origin, u, line)
             assert np.concatenate(alone).tobytes() == group.tobytes()
+
+
+def _layouts(points):
+    """``points`` as a C-ordered array, a Fortran-ordered copy, and views of
+    the first columns and of every other column of a wider array."""
+    sliced = np.hstack((points, points))[:, : points.shape[1]]
+    strided = np.repeat(points, 2, axis=1)[:, ::2]
+    return {"C": points, "F": np.asfortranarray(points), "sliced": sliced, "strided": strided}
+
+
+def _per_block_distances(points, origin, u, line):
+    """``_distances`` as it took each row block with plain numpy
+    expressions: ``points[i:j] - origin``, then ``q @ u``."""
+    if points.shape[0] == 1:
+        return _per_block_distances(np.vstack((points, points)), origin, u, line)[:1]
+    n = points.shape[0]
+    d = np.empty(n)
+    i = 0
+    while i < n:
+        j = i + _BLOCK if n - i > _BLOCK + 1 else n
+        q = points[i:j] - origin
+        if line:
+            r = q.T - np.multiply.outer(u, q @ u)
+            r *= r
+            np.sqrt(np.add.reduce(r, axis=0, out=d[i:j]), out=d[i:j])
+        else:
+            d[i:j] = np.abs(q @ u)
+        i = j
+    return d
+
+
+class TestRowMajorPasses:
+    """The n-row passes of a fit run their loops down the rows, with numpy's
+    operations in numpy's order, so every result keeps its bits in every
+    layout."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, _BLOCK + 1, 100_000])
+    def test_column_sums_are_add_reduce_to_the_bit(self, n):
+        rng = np.random.default_rng(n)
+        for dim in range(1, 10):
+            offset = rng.choice([-1e8, 0.0, 1e8], size=dim)
+            points = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3, 3, dim) + offset
+            for layout, a in _layouts(points).items():
+                expected = np.add.reduce(a, axis=0) / n
+                assert _column_means(a).tobytes() == expected.tobytes(), (layout, dim)
+            # regression's 1-D coordinates
+            assert _column_means(points[:, 0]) == np.add.reduce(points[:, 0]) / n
+
+    @pytest.mark.parametrize("layout", ["C", "F", "sliced", "strided"])
+    def test_a_column_sum_that_overflows_takes_the_scaled_path(self, layout):
+        n = 9
+        points = np.column_stack([np.full(n, 1.5e308), np.linspace(1e308, 1.7e308, n),
+                                  np.arange(n, dtype=float)])
+        points = _layouts(points)[layout]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = centroid(PointCloud(points))
+        assert c[0] == 1.5e308
+        assert c[1] == pytest.approx(1.35e308, rel=1e-15)
+        assert c[2] == 4.0
+
+    @pytest.mark.parametrize("n", [1, 2, _BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 1])
+    def test_residual_pass_keeps_the_per_block_bits(self, n):
+        for dim in range(2, 10):
+            cloud, origin, u = _offset_cloud_and_line(n, dim)
+            for layout, points in _layouts(cloud.points).items():
+                for line in (True, False):
+                    got = _distances(points, origin, u, line)
+                    expected = _per_block_distances(points, origin, u, line)
+                    assert got.tobytes() == expected.tobytes(), (layout, dim, line)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "sliced", "strided"])
+    @pytest.mark.parametrize("n, dim", [(5, 2), (300, 3), (_BLOCK + 1, 5), (2 * _BLOCK + 1, 9)])
+    def test_fits_keep_the_add_reduce_bits(self, layout, n, dim):
+        """A fit is the mean by ``np.add.reduce``, ``b = points - c``, the
+        eigenvectors of ``b.T @ b`` and the per-block residual pass."""
+        points = _layouts(_offset_cloud_and_line(n, dim)[0].points)[layout]
+        c = np.add.reduce(points, axis=0) / n
+        b = points - c
+        axes = eigen_symmetric(b.T @ b).eigenvectors
+        line, plane = fit_line(PointCloud(points)), fit_hyperplane(PointCloud(points))
+        for origin, u, stats, is_line in ((line.anchor, line.direction, line.error, True),
+                                          (plane.centroid, plane.normal, plane.error, False)):
+            assert origin.tobytes() == c.tobytes()
+            assert u.tobytes() == (axes[0] if is_line else axes[-1]).tobytes()
+            expected = _per_block_distances(points, c, u, is_line)
+            assert stats.per_point_distance.tobytes() == expected.tobytes()
+        assert scatter_matrix(PointCloud(points)).tobytes() == (b.T @ b).tobytes()
 
 
 class TestResidualMemory:

@@ -721,6 +721,22 @@ class TestCliAllOrNothing:
         assert [p.name for p in out.iterdir()] == ["scene_SK.json"]
         assert not any((out / "scene_SK.json").iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["gen-bumblebee", "--start", "0,0,0", "--end", "1,1,1", "--n", "3",
+         "--output", "a\0b.csv"],
+        ["economy", "--plot", "--output-dir", "o\0ut"],
+    ], ids=["gen-bumblebee-output", "economy-output-dir"])
+    def test_output_path_holding_nul_is_2(self, tmp_path, monkeypatch, capsys, argv):
+        """The system cannot name a file with a NUL byte in it; the command
+        fails as for any other path it cannot write, and writes nothing."""
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write ")
+        assert "embedded null byte" in captured.err
+        assert list(tmp_path.rglob("*")) == []
+
     @pytest.mark.parametrize("code", ["a/../../../esc", "S\0K", "/abs"])
     def test_country_code_that_is_no_file_name_is_3(self, tmp_path, monkeypatch, capsys, code):
         """A scene file is named by its country code: a code with a path

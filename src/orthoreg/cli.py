@@ -75,11 +75,16 @@ BUILTIN_V4 = "builtin:v4"
 OUTPUT_DIR_ENV = "ORTHOREG_OUTPUT_DIR"
 
 
+def _shown(path) -> str:
+    """``path`` for a message, each unprintable character escaped as in a repr."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(path))
+
+
 def _read_bytes(path: str) -> bytes:
     try:
         return Path(path).read_bytes()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read {_shown(path)}: {exc}") from None
 
 
 def _builtin_series(country: str | None):
@@ -109,12 +114,9 @@ def emit_plot_svg(report, projection: tuple[int, int] | None = None) -> str:
     if isinstance(report, ComparisonReport):
         if report.cloud is None:
             raise InvalidInputError("comparison report carries no data points to plot")
-        lines = []
-        c = report.centroid
-        if report.ols is not None:
-            lines.append(("classical y(x)", c, report.ols.direction()))
-        if report.conjugate is not None:
-            lines.append(("conjugate x(y)", c, report.conjugate.direction()))
+        classical = (("classical y(x)", report.ols), ("conjugate x(y)", report.conjugate))
+        lines = [(name, report.centroid, line.direction())
+                 for name, line in classical if line is not None]
         lines.append(("orthogonal", report.tls.anchor, report.tls.direction))
         return scatter_chart(
             report.cloud.points, lines, title="classical vs orthogonal regression",
@@ -183,7 +185,7 @@ def _write_files(files) -> None:
             # exists() is False, where unlink() would raise, for a NUL path.
             if temporary.exists():
                 temporary.unlink()
-        raise UsageError(f"cannot write {path}: {exc}") from None
+        raise UsageError(f"cannot write {_shown(path)}: {exc}") from None
     for _, path in staged:
         print(f"wrote {path}", file=sys.stderr)
 

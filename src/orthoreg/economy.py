@@ -20,7 +20,6 @@ inconsistent for HU, so HU plane values are documented as derived only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,7 @@ from .fitting import (
     DEFAULT_ERROR_METRIC,
     FittedHyperplane,
     PointCloud,
+    _acute_angle_deg,
     fit_hyperplane,
 )
 
@@ -184,8 +184,7 @@ def economy_plane(series: IndicatorSeries, metric: str = DEFAULT_ERROR_METRIC) -
 
 def plane_angle(a: EconomyPlane, b: EconomyPlane) -> float:
     """Dihedral angle between two economy planes, degrees in [0, 90]."""
-    cosine = abs(float(a.plane.normal @ b.plane.normal))
-    return math.degrees(math.acos(min(1.0, cosine)))
+    return _acute_angle_deg(float(a.plane.normal @ b.plane.normal))
 
 
 def plane_slopes(p: EconomyPlane) -> tuple[float, float, float]:
@@ -194,11 +193,8 @@ def plane_slopes(p: EconomyPlane) -> tuple[float, float, float]:
     Order follows COORDINATE_PLANES: (unemployment-GDP,
     unemployment-inflation, GDP-inflation).
     """
-    slopes = []
-    for _, axis_normal in COORDINATE_PLANES:
-        cosine = abs(float(p.plane.normal @ np.asarray(axis_normal)))
-        slopes.append(math.degrees(math.acos(min(1.0, cosine))))
-    return tuple(slopes)
+    normal = p.plane.normal
+    return tuple(_acute_angle_deg(float(normal @ np.asarray(n))) for _, n in COORDINATE_PLANES)
 
 
 def economy_indicators(

@@ -466,6 +466,11 @@ def distance_point_to_plane(p, plane: FittedHyperplane) -> float:
     return _point_distance(p, plane.centroid, plane.normal, False, "distance_point_to_plane")
 
 
+def _acute_angle_deg(cosine: float) -> float:
+    """Angle in [0, 90] degrees between undirected flats whose unit axes have this cosine."""
+    return math.degrees(math.acos(min(1.0, abs(cosine))))
+
+
 def total_orthogonal_error(cloud: PointCloud, model) -> ResidualStats:
     """Residual aggregates of a cloud against a fitted line or hyperplane.
 

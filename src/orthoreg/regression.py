@@ -1,29 +1,30 @@
 """Classical least-squares lines in 2D, for contrast with the orthogonal fit.
 
-Minimizing squared *vertical* offsets is not symmetric in the variables:
-regressing y on x and x on y gives two different ("conjugate") lines. The
-orthogonal fit gives one line, lying inside the scissors the two classical
-lines form. ``compare_ols_tls`` computes all three side by side.
+y(x) and its conjugate x(y) are one least-squares fit with the roles
+swapped: an ``Orientation`` names the regressor column and ``_classical``
+fits the other column on it, from the centred moments of both. The
+orthogonal line lies inside the scissors the two form; ``compare_ols_tls``
+computes all three and checks that, reading every inclination on the side
+of vertical the covariance leans to, so lines either side of it still nest.
 
 Each function takes (xs, ys) as the cloud ``PointCloud.from_columns(xs, ys)``
 builds, with its rules and messages, and needs at least 2 points; the
-orthogonal fit is ``fit_line`` of that cloud. The classical lines are built
-from the centred moments of the cloud's x and y columns. Each column is
-centred on its own by ``fitting._centred``, so each must have a spread a sum
-of squares can resolve (see there), or be constant; otherwise
-InvalidInputError is raised.
+orthogonal fit is ``fit_line`` of that cloud. Each column is centred on its
+own by ``fitting._centred``, so each must have a spread a sum of squares can
+resolve (see there), or be constant; otherwise InvalidInputError is raised.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateGeometryError, InvalidInputError, float_array
-from .fitting import FittedLine, PointCloud, _centred, fit_line
+from .fitting import FittedLine, PointCloud, _acute_angle_deg, _centred, fit_line
 
 
 class Orientation(enum.Enum):
@@ -31,6 +32,10 @@ class Orientation(enum.Enum):
 
     Y_ON_X = "y_on_x"  # y = slope * x + intercept
     X_ON_Y = "x_on_y"  # x = slope * y + intercept
+
+    @property
+    def regressor(self) -> int:  # the column the line is fitted on
+        return 0 if self is Orientation.Y_ON_X else 1
 
 
 @dataclass(frozen=True)
@@ -43,15 +48,11 @@ class AffineLine2D:
 
     def direction(self) -> np.ndarray:
         """Unit direction vector of the line in the (x, y) plane."""
-        if self.orientation is Orientation.Y_ON_X:
-            d = np.array([1.0, self.slope])
-        else:
-            d = np.array([self.slope, 1.0])
         slope = float(self.slope)
-        if math.isinf(slope * slope):
-            # 1 + slope**2 overflows; (1, slope) / |slope| has norm 1 to the bit
-            return d / abs(slope)
-        return d / np.linalg.norm(d)
+        d = np.array([slope, slope])
+        d[self.orientation.regressor] = 1.0
+        # Where 1 + slope**2 overflows, (1, slope) / |slope| has norm 1 to the bit.
+        return d / (abs(slope) if math.isinf(slope * slope) else np.linalg.norm(d))
 
 
 @dataclass(frozen=True)
@@ -84,25 +85,21 @@ def _cloud(xs, ys) -> PointCloud:
     return cloud
 
 
-def _moments(x, y):
-    (xm, dx), (ym, dy) = _centred(x), _centred(y)
-    return xm, ym, float(dx @ dx), float(dy @ dy), float(dx @ dy)
+def _moments(columns):
+    """Means and sums of squares, indexed by column, and the cross product."""
+    (xm, dx), (ym, dy) = map(_centred, columns)
+    return (xm, ym), (float(dx @ dx), float(dy @ dy)), float(dx @ dy)
 
 
-def _y_on_x(x, moments) -> AffineLine2D:
-    if (x == x[0]).all():
-        raise DegenerateGeometryError("xs are constant: no y-on-x line exists")
-    xm, ym, sxx, _, sxy = moments
-    k = sxy / sxx
-    return AffineLine2D(slope=k, intercept=ym - k * xm, orientation=Orientation.Y_ON_X)
-
-
-def _x_on_y(y, moments) -> AffineLine2D:
-    if (y == y[0]).all():
-        raise DegenerateGeometryError("ys are constant: no x-on-y line exists")
-    xm, ym, _, syy, sxy = moments
-    c = sxy / syy
-    return AffineLine2D(slope=c, intercept=xm - c * ym, orientation=Orientation.X_ON_Y)
+def _classical(columns, moments, orientation: Orientation) -> AffineLine2D:
+    """The least-squares line of the response column on the regressor."""
+    r = orientation.regressor
+    if (columns[r] == columns[r][0]).all():
+        x, y = "xy"[r], "xy"[1 - r]
+        raise DegenerateGeometryError(f"{x}s are constant: no {y}-on-{x} line exists")
+    means, squares, cross = moments
+    slope = cross / squares[r]
+    return AffineLine2D(slope, means[1 - r] - slope * means[r], orientation)
 
 
 def ols_line(xs, ys) -> AffineLine2D:
@@ -111,14 +108,14 @@ def ols_line(xs, ys) -> AffineLine2D:
     Raises DegenerateGeometryError when all xs are identical (vertical data
     cannot be written as y of x).
     """
-    x, y = _cloud(xs, ys).points.T
-    return _y_on_x(x, _moments(x, y))
+    columns = tuple(_cloud(xs, ys).points.T)
+    return _classical(columns, _moments(columns), Orientation.Y_ON_X)
 
 
 def conjugate_line(xs, ys) -> AffineLine2D:
     """Least-squares line with the roles swapped: x = c y + d."""
-    x, y = _cloud(xs, ys).points.T
-    return _x_on_y(y, _moments(x, y))
+    columns = tuple(_cloud(xs, ys).points.T)
+    return _classical(columns, _moments(columns), Orientation.X_ON_Y)
 
 
 def angle_between_lines_deg(u, v) -> float:
@@ -126,61 +123,40 @@ def angle_between_lines_deg(u, v) -> float:
     message = "directions must be vectors of equal length"
     u = float_array(u, (None,), message)
     v = float_array(v, u.shape, message)
-    cosine = abs(float(u @ v)) / (np.linalg.norm(u) * np.linalg.norm(v))
-    return math.degrees(math.acos(min(1.0, cosine)))
+    return _acute_angle_deg(float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
-def _inclination_deg(direction) -> float:
-    """Line inclination from the x-axis, degrees in (-90, 90]."""
+def _inclination_deg(direction, lean: float) -> float:
+    """Line inclination from the x-axis, degrees in (lean - 90, lean + 90]."""
     ang = math.degrees(math.atan2(float(direction[1]), float(direction[0])))
-    if ang > 90.0:
-        ang -= 180.0
-    elif ang <= -90.0:
-        ang += 180.0
-    return ang
+    return ang - 180.0 if ang > lean + 90.0 else ang + 180.0 if ang <= lean - 90.0 else ang
 
 
 def compare_ols_tls(xs, ys) -> ComparisonReport:
     """Fit the classical, conjugate, and orthogonal lines to the same cloud."""
     cloud = _cloud(xs, ys)
-    x, y = cloud.points.T
+    columns = tuple(cloud.points.T)
     tls = fit_line(cloud)
-    moments = _moments(x, y)
-    xm, ym, _, _, sxy = moments
-
-    try:
-        ols = _y_on_x(x, moments)
-    except DegenerateGeometryError:
-        ols = None
-    try:
-        conj = _x_on_y(y, moments)
-    except DegenerateGeometryError:
-        conj = None
-
-    def pair_angle(a, b):
-        if a is None or b is None:
-            return None
-        da = a.direction() if isinstance(a, AffineLine2D) else a.direction
-        db = b.direction() if isinstance(b, AffineLine2D) else b.direction
-        return angle_between_lines_deg(da, db)
-
+    moments = _moments(columns)
+    lines = []
+    for orientation in Orientation:
+        try:
+            lines.append(_classical(columns, moments, orientation))
+        except DegenerateGeometryError:
+            lines.append(None)
+    directions = [None if line is None else line.direction() for line in lines] + [tls.direction]
+    angles = [
+        None if u is None or v is None else angle_between_lines_deg(u, v)
+        for u, v in itertools.combinations(directions, 2)
+    ]
     between = None
-    if ols is not None and conj is not None and sxy != 0.0:
-        incs = sorted([_inclination_deg(ols.direction()), _inclination_deg(conj.direction())])
-        tls_inc = _inclination_deg(tls.direction)
-        between = incs[0] - 1e-9 <= tls_inc <= incs[1] + 1e-9
-
-    return ComparisonReport(
-        centroid=np.array([xm, ym]),
-        ols=ols,
-        conjugate=conj,
-        tls=tls,
-        angle_ols_conjugate_deg=pair_angle(ols, conj),
-        angle_ols_tls_deg=pair_angle(ols, tls),
-        angle_conjugate_tls_deg=pair_angle(conj, tls),
-        tls_between_scissors=between,
-        cloud=cloud,
-    )
+    if None not in lines and moments[2] != 0.0:
+        # All three lines lean the way the covariance does, so each is read
+        # within 90 degrees of +-45: a line at vertical reads on their side.
+        lean = math.copysign(45.0, moments[2])
+        low, high = sorted(_inclination_deg(d, lean) for d in directions[:2])
+        between = low - 1e-9 <= _inclination_deg(tls.direction, lean) <= high + 1e-9
+    return ComparisonReport(np.array(moments[0]), *lines, tls, *angles, between, cloud)
 
 
 __all__ = [

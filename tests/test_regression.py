@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from orthoreg import (
     AffineLine2D,
@@ -194,6 +196,44 @@ class TestSteepLines:
         angles = (report.angle_ols_conjugate_deg, report.angle_ols_tls_deg,
                   report.angle_conjugate_tls_deg)
         assert all(0.0 <= a <= 1e-100 for a in angles)
+        assert report.tls_between_scissors is True
+
+
+@st.composite
+def _thin_clouds(draw):
+    """2 to 8 points about the origin, one coordinate squeezed by up to 1e-16:
+    clouds near vertical, near horizontal, and (unsqueezed) anywhere."""
+    n = draw(st.integers(2, 8))
+    coordinate = st.floats(-10.0, 10.0)
+    along = draw(st.lists(coordinate, min_size=n, max_size=n))
+    across = draw(st.lists(coordinate, min_size=n, max_size=n))
+    lean = draw(st.floats(-2.0, 2.0))
+    scale = 10.0 ** draw(st.integers(-16, 0))
+    thin = [scale * (a + lean * t) for t, a in zip(along, across)]
+    return (thin, along) if draw(st.booleans()) else (along, thin)
+
+
+class TestScissors:
+    """The orthogonal line lies between the two classical lines, also where
+    inclinations wrap at vertical: a line a hair past it reads about -90
+    degrees, one a hair short of it 90."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_thin_clouds())
+    # Both classical lines a hair short of vertical, the orthogonal one past it.
+    @example(([4.532046469838416e-15, 1.2381093964760504e-13, 5.615780163032626e-14],
+              [10.915277865864471, 3.114825613362102, -4.394389030275389]))
+    @example(([0.0, -1e-15], [0.0, 1.0]))
+    # A covariance of rounding size: the classical lines lie along the axes,
+    # and the orthogonal line is exactly vertical.
+    @example(([1.4388735938426587, 0.00020164295512421895, 0.3239119776314283],
+              [0.4976524704995538, 0.012825777833487251, 1.5775243072511553]))
+    def test_inside_whenever_both_classical_lines_exist(self, cloud):
+        try:
+            report = compare_ols_tls(*cloud)
+        except (DegenerateGeometryError, InvalidInputError):
+            assume(False)  # identical points, tied axes or an unresolvable spread
+        assume(report.tls_between_scissors is not None)
         assert report.tls_between_scissors is True
 
 

@@ -735,7 +735,28 @@ class TestCliAllOrNothing:
         assert captured.out == ""
         assert captured.err.startswith("error: cannot write ")
         assert "embedded null byte" in captured.err
+        assert "\0" not in captured.err
         assert list(tmp_path.rglob("*")) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--input", "a\0b.csv", "--geometry", "line"],
+        ["compare", "--input", "a\0b.csv"],
+        ["economy", "--data", "a\0b.csv"],
+    ], ids=["fit-input", "compare-input", "economy-data"])
+    def test_input_path_holding_nul_is_2(self, tmp_path, monkeypatch, capsys, argv):
+        """An input path that the system cannot name fails as a missing file
+        does, and the message shows the NUL escaped."""
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot read a\\x00b.csv: embedded null byte\n"
+
+    def test_unprintable_path_is_escaped(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["compare", "--input", "tab\there\x1b.csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot read tab\\there\\x1b.csv: ")
 
     @pytest.mark.parametrize("code", ["a/../../../esc", "S\0K", "/abs"])
     def test_country_code_that_is_no_file_name_is_3(self, tmp_path, monkeypatch, capsys, code):

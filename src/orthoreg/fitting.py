@@ -8,17 +8,23 @@ regression, the result does not depend on which coordinate is declared
 Both fits are one k-flat fit (Pearson 1901), ``_principal_axes``: the
 principal axes of the centred scatter matrix, with k = 1 for a line (its
 direction is the first axis) and k = dim - 1 for a hyperplane (its normal is
-the last). Every centring goes through ``_centre``; ``_centred`` adds the
-spread rule. The classical lines in ``regression`` centre each coordinate
-of their cloud with ``_centred``.
+the last). Every centre comes from ``_centre``, and every spread passes
+``_check_spread``. The classical lines in ``regression`` centre each
+coordinate of their cloud with ``_centred``.
 
-Residuals are one pass, ``_distances``, for the fits, ``total_orthogonal_error``
-and the point distances alike. It takes the points in blocks of ``_BLOCK``
-rows and centres each block on the flat's centre as it goes (``a[i:j] - c``
-is ``(a - c)[i:j]`` to the bit), so its temporaries are a few blocks whatever
-the cloud's size, and a fit's centred copy is freed once the scatter matrix
-is formed. ``_checked_distances`` adds the rescue of distances whose squares
-leave the float range; a fit's spread rule already rules them out.
+No fit makes a centred copy of its cloud. The scatter matrix is one pass,
+``_centred_scatter``, that centres ``_SCATTER_BLOCK`` rows at a time into one
+reused buffer and adds each block's ``q.T @ q``. A cloud of up to
+``_SCATTER_BLOCK`` points is one block, so its scatter matrix has the bits
+of ``b.T @ b`` for the centred points ``b``; a larger cloud's is a sum of
+block products, which moves it in the last bits, typically nearer the exact
+sum. Residuals are one pass, ``_distances``, for the fits,
+``total_orthogonal_error`` and the point distances alike. It takes the
+points in blocks of ``_BLOCK`` rows and centres each block on the flat's
+centre as it goes (``a[i:j] - c`` is ``(a - c)[i:j]`` to the bit), so the
+temporaries of both passes are a few blocks whatever the cloud's size.
+``_checked_distances`` adds the rescue of distances whose squares leave the
+float range; a fit's spread rule already rules them out.
 
 Every pass over the n rows runs numpy's inner loop down the rows, not across
 the few coordinates of one row, whose per-loop overhead would dominate: the
@@ -52,6 +58,10 @@ RANK_TOLERANCE = 1e-12
 
 #: Rows per block of the residual pass (see ``_distances``).
 _BLOCK = 2**15
+
+#: Rows per block of the scatter pass (see ``_centred_scatter``), 3 MiB of
+#: centred points at d = 3; a cloud of up to this many points is one block.
+_SCATTER_BLOCK = 2**17
 
 #: Rows over which a centre is tiled (see ``_minus``); below it the plain
 #: numpy expressions cost less than the row-major passes.
@@ -221,8 +231,9 @@ def _column_means(a: np.ndarray) -> np.ndarray:
     return np.clip(mean, a.min(axis=0), a.max(axis=0))
 
 
-def _minus(a: np.ndarray, c) -> np.ndarray:
-    """``a - c`` to the bit, in the layout of ``a``.
+def _minus(a: np.ndarray, c, out: np.ndarray | None = None) -> np.ndarray:
+    """``a - c`` to the bit, in the layout of ``a``, into ``out`` if given
+    (of the shape of ``a``, and C-ordered where ``a`` is).
 
     On C-ordered points ``a - c`` broadcasts ``c`` over each row, an inner
     loop only d entries long. So each ``_TILE`` rows are taken as one row of
@@ -234,8 +245,8 @@ def _minus(a: np.ndarray, c) -> np.ndarray:
     more than it saves.
     """
     if len(a) < _TILE or a.ndim == 1 or not a.flags.c_contiguous:
-        return a - c
-    b = np.empty(a.shape)
+        return np.subtract(a, c, out=out)
+    b = np.empty(a.shape) if out is None else out
     split = len(a) - len(a) % _TILE
     width = _TILE * a.shape[1]
     np.subtract(a[:split].reshape(-1, width), np.tile(c, _TILE), out=b[:split].reshape(-1, width))
@@ -243,73 +254,112 @@ def _minus(a: np.ndarray, c) -> np.ndarray:
     return b
 
 
-def _centre(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The centre ``c`` of the points ``a`` (or of one coordinate's values)
-    and the centred points ``a - c``.
+def _centre(a: np.ndarray) -> np.ndarray:
+    """The centre ``c`` of the points ``a`` (or of one coordinate's values).
+    Call it under ``np.errstate(over="ignore", invalid="ignore")``.
 
     ``c`` is the column mean, but a constant column is centred on its value:
-    its rounded mean can be up to n ulps off, as its first centred entry is.
+    its rounded mean can be up to n ulps off, as its first centred entry
+    ``a[0] - c`` is (the bits of row 0 of ``_minus(a, c)``).
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = _column_means(a)
-        b = _minus(a, c)
-        pairs = zip(b[0].reshape(-1).tolist(), a[0].reshape(-1).tolist())
-        if any(0.0 < abs(x) <= len(a) * math.ulp(v) for x, v in pairs):
-            c = np.where((a == a[0]).all(axis=0), a[0], c)[()]
-            b = _minus(a, c)
-    return c, b
+    c = _column_means(a)
+    pairs = zip((a[0] - c).reshape(-1).tolist(), a[0].reshape(-1).tolist())
+    if any(0.0 < abs(x) <= len(a) * math.ulp(v) for x, v in pairs):
+        c = np.where((a == a[0]).all(axis=0), a[0], c)[()]
+    return c
 
 
-def _centred(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_centre(a)``, whose spread, the largest |p - c|, must be 0 (identical
-    points) or lie in [2**-511, 2**511 / sqrt(a.size)]: below it the squares
-    leave the normal float range, above it the trace overflows, and beyond
-    the float range ``p - c`` is infinite. Otherwise InvalidInputError.
-    """
-    c, b = _centre(a)
-    spread = max(float(b.max()), -float(b.min()))
-    if spread and not 2.0**-511 <= spread <= 2.0**511 / math.sqrt(b.size):
+def _check_spread(spread: float, size: int) -> None:
+    """The spread of ``size`` centred values, the largest |p - c|, must be 0
+    (identical points) or lie in [2**-511, 2**511 / sqrt(size)]: below it
+    the squares leave the normal float range, above it the trace overflows,
+    and beyond the float range ``p - c`` is infinite. Otherwise
+    InvalidInputError."""
+    if spread and not 2.0**-511 <= spread <= 2.0**511 / math.sqrt(size):
         raise InvalidInputError(
             f"points spread {spread:.3g} about their centroid; a scatter matrix "
             "needs a spread between about 1e-153 and 1e153"
         )
+
+
+def _centred(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The centre ``c`` of ``a`` (see ``_centre``) and the centred values
+    ``a - c``, whose spread must pass ``_check_spread``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _centre(a)
+        b = _minus(a, c)
+    _check_spread(max(float(b.max()), -float(b.min())), b.size)
     return c, b
+
+
+def _centred_scatter(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The centre ``c`` of the points ``a`` (see ``_centre``) and their
+    scatter matrix ``b.T @ b`` about it, ``b = a - c``, without ``b``.
+
+    The rows are taken in blocks of ``_SCATTER_BLOCK``, each centred by
+    ``_minus`` into one reused buffer in the layout ``a - c`` would have,
+    and the blocks' products ``q.T @ q`` are added up. A cloud of one block
+    has the bits of ``b.T @ b``; a larger cloud's scatter is a sum of block
+    products, which moves it in the last bits: as a two-level sum, it
+    typically lies nearer the exact one. numpy mirrors one triangle of each
+    product, so the sum is exactly symmetric, as ``eigen_symmetric``
+    requires. The spread of the whole cloud must pass ``_check_spread``; it
+    is checked after the pass, which ignores the overflow of a cloud that
+    fails it.
+    """
+    n = len(a)
+    spread = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _centre(a)
+        q = np.empty_like(a[:_SCATTER_BLOCK])
+        for i in range(0, n, _SCATTER_BLOCK):
+            block = _minus(a[i : i + _SCATTER_BLOCK], c, out=q[: n - i])
+            spread = max(spread, float(block.max()), -float(block.min()))
+            product = block.T @ block
+            if i:
+                scatter += product
+            else:
+                scatter = product
+    _check_spread(spread, a.size)
+    return c, scatter
 
 
 def centroid(cloud: PointCloud) -> np.ndarray:
     """Coordinate-wise mean of the cloud, with a constant column centred on
     its value (see ``_centre``). Every fitted flat passes through it."""
-    return _centre(cloud.points)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _centre(cloud.points)
 
 
 def scatter_matrix(cloud: PointCloud) -> np.ndarray:
-    """Unnormalized centered scatter matrix sum_i (p_i - c)(p_i - c)^T.
+    """Unnormalized centered scatter matrix sum_i (p_i - c)(p_i - c)^T,
+    exactly symmetric (see ``_centred_scatter``).
 
     No 1/(n-1) factor: normalization rescales eigenvalues uniformly and does
-    not move the principal axes. numpy mirrors one triangle of ``b.T @ b``,
-    so the result is exactly symmetric, as ``eigen_symmetric`` requires.
+    not move the principal axes. A cloud of up to 2**17 points
+    (``_SCATTER_BLOCK``) gets the bits of ``b.T @ b`` for the centred
+    points ``b``.
     """
-    b = _centred(cloud.points)[1]
-    return b.T @ b
+    return _centred_scatter(cloud.points)[1]
 
 
 def _principal_axes(cloud: PointCloud, k: int, name: str):
     """The centre ``c`` and principal axes (rows, by decreasing eigenvalue)
-    of a cloud to be fitted by a k-flat, a ``name``. The centred points are
-    freed once their scatter matrix is formed.
+    of a cloud to be fitted by a k-flat, a ``name``: the eigenvectors of
+    its scatter matrix, formed block by block without a centred copy (see
+    ``_centred_scatter``).
 
     InvalidInputError: dim < 2, fewer than k + 1 points, or a spread that
-    ``_centred`` rejects. DegenerateGeometryError, with the spanned flat: a
-    rank (eigenvalues above RANK_TOLERANCE times the largest) below k.
+    ``_check_spread`` rejects. DegenerateGeometryError, with the spanned
+    flat: a rank (eigenvalues above RANK_TOLERANCE times the largest)
+    below k.
     """
     dim = cloud.dim
     if dim < 2:
         raise InvalidInputError(f"{name} fit needs dimension >= 2")
     if len(cloud) < k + 1:
         raise InvalidInputError(f"{name} fit in dimension {dim} needs at least {k + 1} points")
-    c, b = _centred(cloud.points)
-    scatter = b.T @ b
-    del b
+    c, scatter = _centred_scatter(cloud.points)
     dec = eigen_symmetric(scatter)
     values = dec.eigenvalues.tolist()
     cutoff = values[0] * RANK_TOLERANCE
@@ -333,7 +383,7 @@ def _distances(points: np.ndarray, origin: np.ndarray, u: np.ndarray, line: bool
     Each block of ``_BLOCK`` rows is centred on ``origin`` first, as
     ``normal . p + offset`` cancels when the points lie far from the origin.
     Nothing overflows where the points' spread about ``origin`` passes
-    ``_centred``'s rule, as in a fit; ``_checked_distances`` takes any points.
+    ``_check_spread``, as in a fit; ``_checked_distances`` takes any points.
 
     A line's residuals are taken coordinate-major, as a (dim, rows) array:
     numpy's loops then run over the block's rows, not over the few
@@ -412,7 +462,7 @@ def fit_line(cloud: PointCloud) -> FittedLine:
     ------
     InvalidInputError
         Fewer than 2 points, dim < 2, or a spread the scatter matrix cannot
-        represent (see ``_centred``).
+        represent (see ``_check_spread``).
     DegenerateGeometryError
         All points identical; the error reports them as a 0-dimensional flat.
     """
@@ -432,7 +482,7 @@ def fit_hyperplane(cloud: PointCloud) -> FittedHyperplane:
     ------
     InvalidInputError
         Fewer than ``dim`` points, dim < 2, or a spread the scatter matrix
-        cannot represent (see ``_centred``).
+        cannot represent (see ``_check_spread``).
     DegenerateGeometryError
         The points span a flat of dimension < dim-1, so infinitely many
         hyperplanes contain them; the spanned flat is reported on the error.

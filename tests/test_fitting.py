@@ -27,10 +27,12 @@ from orthoreg import (
 
 from orthoreg.fitting import (
     _BLOCK,
+    _SCATTER_BLOCK,
     FittedHyperplane,
     FittedLine,
     ResidualStats,
     _checked_distances,
+    _centred,
     _column_means,
     _distances,
 )
@@ -135,6 +137,11 @@ class TestCentroidAndScatter:
             ):
                 s = scatter_matrix(PointCloud(points))
                 assert (s == s.T).all()
+
+    def test_centroid_allocates_no_centred_copy(self):
+        """The centre needs only the column sums and row 0 less the mean."""
+        points = np.random.default_rng(0).normal(size=(100_000, 3))
+        assert _traced_peak(lambda: centroid(PointCloud(points))) < points.nbytes // 2
 
     def test_sk_centroid_matches_reference(self):
         assert np.abs(centroid(sk_cloud()) - [13.8714, 4.5571, 9.1429]).max() < 1e-4
@@ -649,10 +656,13 @@ class TestRowMajorPasses:
                     assert got.tobytes() == expected.tobytes(), (layout, dim, line)
 
     @pytest.mark.parametrize("layout", ["C", "F", "sliced", "strided"])
-    @pytest.mark.parametrize("n, dim", [(5, 2), (300, 3), (_BLOCK + 1, 5), (2 * _BLOCK + 1, 9)])
+    @pytest.mark.parametrize("n, dim", [(5, 2), (300, 3), (_BLOCK + 1, 5), (2 * _BLOCK + 1, 9),
+                                        (_SCATTER_BLOCK - 1, 5), (_SCATTER_BLOCK, 4)])
     def test_fits_keep_the_add_reduce_bits(self, layout, n, dim):
         """A fit is the mean by ``np.add.reduce``, ``b = points - c``, the
-        eigenvectors of ``b.T @ b`` and the per-block residual pass."""
+        eigenvectors of ``b.T @ b`` and the per-block residual pass. The
+        scatter pass takes up to ``_SCATTER_BLOCK`` points as one block, so
+        there it has the bits of ``b.T @ b``."""
         points = _layouts(_offset_cloud_and_line(n, dim)[0].points)[layout]
         c = np.add.reduce(points, axis=0) / n
         b = points - c
@@ -667,10 +677,52 @@ class TestRowMajorPasses:
         assert scatter_matrix(PointCloud(points)).tobytes() == (b.T @ b).tobytes()
 
 
+class TestScatterBlocks:
+    """Beyond ``_SCATTER_BLOCK`` points the scatter matrix is a sum of block
+    products: exactly symmetric, and within the rounding of ``b.T @ b``."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "sliced", "strided"])
+    @pytest.mark.parametrize("n", [_SCATTER_BLOCK + 1, 3 * _SCATTER_BLOCK + 5])
+    def test_a_sum_of_block_products_is_within_the_rounding_of_one(self, layout, n):
+        """Any order of adding the n products of an entry, each rounded once,
+        is within gamma_n = n eps / (1 - n eps) of the exact sum relative to
+        the sum of the products' moduli (Higham, Accuracy and Stability of
+        Numerical Algorithms, 3.1), eps = 2**-53; so two such orders are
+        within 2 gamma_n of each other. The moduli's sum, taken in floats,
+        is at least (1 - gamma_n) of the exact one."""
+        for dim in (2, 3, 5):
+            points = _layouts(_offset_cloud_and_line(n, dim)[0].points)[layout]
+            b = _centred(points)[1]
+            s = scatter_matrix(PointCloud(points))
+            assert (s == s.T).all()
+            gamma = n * 2.0**-53 / (1.0 - n * 2.0**-53)
+            moduli = np.abs(b).T @ np.abs(b)
+            assert (np.abs(s - b.T @ b) <= 2.0 * gamma / (1.0 - gamma) * moduli).all(), dim
+
+    @pytest.mark.parametrize("n", [_SCATTER_BLOCK + 1, 3 * _SCATTER_BLOCK + 5])
+    def test_a_far_row_in_the_last_block_is_an_unresolvable_spread(self, n):
+        """The spread rule reads the whole cloud's spread after the pass, with
+        the message of the centred copy's spread, and the pass's overflow
+        (the far row's square) raises no RuntimeWarning."""
+        points = np.random.default_rng(n).normal(size=(n, 3))
+        points[-1] = [1e200, 0.0, -1e200]
+        b = points - points.mean(axis=0)
+        spread = max(float(b.max()), -float(b.min()))
+        message = (f"points spread {spread:.3g} about their centroid; a scatter matrix "
+                   "needs a spread between about 1e-153 and 1e153")
+        assert spread > 1e199
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fit in (fit_line, fit_hyperplane, scatter_matrix):
+                with pytest.raises(InvalidInputError) as raised:
+                    fit(PointCloud(points))
+                assert str(raised.value) == message
+
+
 class TestResidualMemory:
-    """The residual pass holds a few blocks of rows, not copies of the cloud:
-    a fit peaks at its centred copy, ``total_orthogonal_error`` at its
-    distances."""
+    """The fit's passes hold a few blocks of rows, not copies of the cloud:
+    the scatter pass peaks at one ``_SCATTER_BLOCK`` buffer, and a fit and
+    ``total_orthogonal_error`` at their distances."""
 
     N, DIM = 300_000, 3
     #: Four blocks of rows, plus room for small Python objects.
@@ -681,9 +733,15 @@ class TestResidualMemory:
         rng = np.random.default_rng(5)
         return PointCloud(rng.normal(size=(self.N, self.DIM)) * [3.0, 1.0, 0.1] + 1e3)
 
+    def test_scatter_peaks_at_one_block(self, cloud):
+        """One block's buffer, plus the 64 KiB buffer of numpy's ufunc loop
+        and small Python objects."""
+        block = _SCATTER_BLOCK * self.DIM * 8
+        assert _traced_peak(lambda: scatter_matrix(cloud)) <= block + 2**17
+
     @pytest.mark.parametrize("fit", [fit_line, fit_hyperplane])
-    def test_fit_peaks_at_one_centred_copy(self, cloud, fit):
-        assert _traced_peak(lambda: fit(cloud)) <= cloud.points.nbytes + self.SLACK
+    def test_fit_peaks_at_its_distances(self, cloud, fit):
+        assert _traced_peak(lambda: fit(cloud)) <= 8 * self.N + self.SLACK
 
     @pytest.mark.parametrize("fit", [fit_line, fit_hyperplane])
     def test_total_orthogonal_error_peaks_at_its_distances(self, cloud, fit):

@@ -23,12 +23,20 @@ directories created), then the report. A command that fails writes nothing.
 Files are written all or none: each goes to a temporary sibling, renamed
 into place once all are written, so a file that cannot be written leaves
 stdout empty and no output file behind.
+
+A program that embeds the CLI by calling ``main(argv)`` gets the same exit
+codes and output. Its first call in the process also calls ``gc.freeze()``
+(unless something is frozen already): every object alive then, the
+program's own included, moves to the collector's permanent generation,
+which the collector never scans, so a cycle among those objects is never
+freed. Later calls freeze nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import json
 import os
 import sys
@@ -407,6 +415,23 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one ``orthoreg`` command on ``argv`` (default ``sys.argv[1:]``)
+    and return its exit code.
+
+    0 success (``--help`` and ``--version`` too), 2 a usage error reported
+    by argparse, else the ``exit_code`` of the ``OrthoregError`` raised,
+    after an ``error: ...`` line on stderr; any other exception propagates.
+
+    The first call in a process calls ``gc.freeze()`` before it builds the
+    parser, unless something is frozen already. What is alive then (numpy,
+    orthoreg and the modules they import) goes to the permanent generation,
+    so the full collections at interpreter shutdown skip it (see README,
+    "Where a small CLI run spends its time"). Later calls freeze nothing: a
+    command's subparsers are garbage in cycles, and a freeze on each call
+    would keep every earlier call's parsers alive.
+    """
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

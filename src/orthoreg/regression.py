@@ -60,8 +60,13 @@ class ComparisonReport:
     """Classical line, conjugate line, and orthogonal line for one 2D cloud.
 
     A classical line is None when its fit is degenerate (constant independent
-    variable). All available lines pass through ``centroid``. Angles are
-    between undirected lines, in degrees within [0, 90].
+    variable). The classical lines pass through ``centroid``, the means of
+    x and y, each column summed on its own. The orthogonal line passes
+    through ``tls.anchor``, the centre ``fit_line`` sums by rows. On a cloud
+    far from the origin the two orders of summation can round differently,
+    so the two centres agree to a few ulps but need not be equal (for nine
+    points at x ~ 1e8: 100000000.00000034 and 100000000.00000037). Angles
+    are between undirected lines, in degrees within [0, 90].
     ``tls_between_scissors`` records whether the orthogonal line's inclination
     lies weakly between the two classical inclinations (None when either
     classical line is missing or the covariance is zero).

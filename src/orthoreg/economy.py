@@ -184,7 +184,8 @@ def economy_plane(series: IndicatorSeries, metric: str = DEFAULT_ERROR_METRIC) -
 
 def plane_angle(a: EconomyPlane, b: EconomyPlane) -> float:
     """Dihedral angle between two economy planes, degrees in [0, 90]."""
-    return _acute_angle_deg(float(a.plane.normal @ b.plane.normal))
+    u, v = a.plane.normal, b.plane.normal
+    return _acute_angle_deg(float(u @ v), u, v)
 
 
 def plane_slopes(p: EconomyPlane) -> tuple[float, float, float]:
@@ -194,7 +195,8 @@ def plane_slopes(p: EconomyPlane) -> tuple[float, float, float]:
     unemployment-inflation, GDP-inflation).
     """
     normal = p.plane.normal
-    return tuple(_acute_angle_deg(float(normal @ np.asarray(n))) for _, n in COORDINATE_PLANES)
+    axes = [np.asarray(n) for _, n in COORDINATE_PLANES]
+    return tuple(_acute_angle_deg(float(normal @ n), normal, n) for n in axes)
 
 
 def economy_indicators(

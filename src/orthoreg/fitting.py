@@ -21,17 +21,20 @@ block products, which moves it in the last bits, typically nearer the exact
 sum. Residuals are one pass, ``_distances``, for the fits,
 ``total_orthogonal_error`` and the point distances alike. It takes the
 points in blocks of ``_BLOCK`` rows and centres each block on the flat's
-centre as it goes (``a[i:j] - c`` is ``(a - c)[i:j]`` to the bit), so the
-temporaries of both passes are a few blocks whatever the cloud's size.
-``_checked_distances`` adds the rescue of distances whose squares leave the
-float range; a fit's spread rule already rules them out.
+centre into one reused buffer (``a[i:j] - c`` is ``(a - c)[i:j]`` to the
+bit), so the temporaries of both passes are a few blocks whatever the
+cloud's size. ``_checked_distances`` adds the rescue of distances whose
+squares leave the float range; a fit's spread rule already rules them out.
 
-Every pass over the n rows runs numpy's inner loop down the rows, not across
-the few coordinates of one row, whose per-loop overhead would dominate: the
-column sums go through ``einsum`` (``_column_means``), the centring through
-a tiled centre (``_minus``), and a line's residuals are coordinate-major.
-Each keeps numpy's operations in numpy's order, so every result has the
-bits of the plain expressions ``a.mean(axis=0)``, ``a - c`` and ``q @ u``.
+A ``PointCloud`` holds its points C-ordered, copying any other layout once,
+so every pass over the n rows sees one layout and a fit's bits depend on
+the values alone. Each pass runs numpy's inner loop down the rows, not
+across the few coordinates of one row, whose per-loop overhead would
+dominate: the column sums go through ``einsum`` (``_column_means``), the
+centring through a tiled centre (``_minus``), and a line's residuals are
+coordinate-major. Each keeps numpy's operations in numpy's order, so every
+result has the bits of the plain expressions ``a.mean(axis=0)``, ``a - c``
+and ``q @ u`` on the C-ordered points.
 """
 
 from __future__ import annotations
@@ -76,15 +79,18 @@ _UNIT_TOLERANCE = 1e-12
 class PointCloud:
     """An ordered list of n-dimensional points with optional string labels.
 
-    ``points`` is coerced to a float array of shape (n_points, dim); labels,
-    when given, must match the number of points (e.g. observation years).
+    ``points`` is coerced to a C-ordered float array of shape (n_points,
+    dim): a C-ordered float64 array is kept as it is, any other input is
+    copied once. Labels, when given, must match the number of points (e.g.
+    observation years).
     """
 
     points: np.ndarray
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        pts = float_array(self.points, (None, None), "points must be a 2-D array of shape (n, dim)")
+        message = "points must be a 2-D array of shape (n, dim)"
+        pts = np.ascontiguousarray(float_array(self.points, (None, None), message))
         if pts.shape[0] < 1 or pts.shape[1] < 1:
             raise InvalidInputError("point cloud needs at least one point and one dimension")
         # min and max propagate NaN, and they allocate no (n, dim) mask.
@@ -201,19 +207,18 @@ class FittedHyperplane:
 
 
 def _column_means(a: np.ndarray) -> np.ndarray:
-    """``a.mean(axis=0)``, also where a column sum overflows. Call it under
-    ``np.errstate(over="ignore", invalid="ignore")``.
+    """``a.mean(axis=0)`` of C-ordered points or of 1-D values, also where
+    a column sum overflows. Call it under ``np.errstate(over="ignore",
+    invalid="ignore")``.
 
-    numpy's ``add.reduce`` on a row-major (n, d) array adds the rows one by
+    numpy's ``add.reduce`` on C-ordered (n, d) points adds the rows one by
     one, but through an inner loop only d entries long per row, whose
     overhead dominates for a few coordinates. ``einsum("ij->j")`` adds the
     rows in the same order with its loop running down the rows, so it has
-    the same bits, several times faster. Where the reduced axis is the
-    inner one, as for 1-D values (``regression``), a single column or a
-    Fortran-ordered cloud (which ``np.array([xs, ys, zs]).T`` gives),
-    ``add.reduce`` adds pairwise and einsum does not, so those keep it. So
-    do clouds of fewer than ``_TILE`` points, where einsum's call costs
-    more than it saves.
+    the same bits, several times faster. For 1-D values (``regression``)
+    and a single column ``add.reduce`` adds pairwise and einsum does not,
+    so those keep it. So do clouds of fewer than ``_TILE`` points, where
+    einsum's call costs more than it saves.
 
     A sum that overflows is taken again over ``a * 2**-k``, with
     ``2**k >= len(a)`` so that it cannot overflow, and its mean is scaled
@@ -222,7 +227,7 @@ def _column_means(a: np.ndarray) -> np.ndarray:
     ulp there, 2e292), so the mean is clamped to them.
     """
     n = a.shape[0]
-    by_rows = n >= _TILE and a.ndim == 2 and a.shape[1] > 1 and abs(a.strides[0]) > abs(a.strides[1])
+    by_rows = n >= _TILE and a.ndim == 2 and a.shape[1] > 1
     total = np.einsum("ij->j", a) if by_rows else np.add.reduce(a, axis=0)  # a scalar for 1-D
     if all(map(math.isfinite, total.reshape(-1).tolist())):
         return total / n
@@ -231,27 +236,23 @@ def _column_means(a: np.ndarray) -> np.ndarray:
     return np.clip(mean, a.min(axis=0), a.max(axis=0))
 
 
-def _minus(a: np.ndarray, c, out: np.ndarray | None = None) -> np.ndarray:
-    """``a - c`` to the bit, in the layout of ``a``, into ``out`` if given
-    (of the shape of ``a``, and C-ordered where ``a`` is).
+def _minus(a: np.ndarray, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a - c`` to the bit for C-ordered points ``a``, written into the
+    caller's C-ordered buffer ``out`` of the shape of ``a``, and returned.
 
-    On C-ordered points ``a - c`` broadcasts ``c`` over each row, an inner
-    loop only d entries long. So each ``_TILE`` rows are taken as one row of
-    an (n // _TILE, _TILE * d) view, less ``c`` tiled over ``_TILE`` rows:
-    the loop runs over ``_TILE * d`` entries, and each entry still gets its
-    one subtraction. The last n % _TILE rows broadcast. Other layouts keep
-    ``a - c``; on a Fortran-ordered cloud its loop already runs down the
-    columns. So do fewer than ``_TILE`` rows, where the tile would cost
-    more than it saves.
+    ``a - c`` broadcasts ``c`` over each row, an inner loop only d entries
+    long. So each ``_TILE`` rows are taken as one row of an
+    (n // _TILE, _TILE * d) view, less ``c`` tiled over ``_TILE`` rows: the
+    loop runs over ``_TILE * d`` entries, and each entry still gets its one
+    subtraction. The last n % _TILE rows broadcast, as do all rows of fewer
+    than ``_TILE``, where the tile would cost more than it saves.
     """
-    if len(a) < _TILE or a.ndim == 1 or not a.flags.c_contiguous:
-        return np.subtract(a, c, out=out)
-    b = np.empty(a.shape) if out is None else out
     split = len(a) - len(a) % _TILE
-    width = _TILE * a.shape[1]
-    np.subtract(a[:split].reshape(-1, width), np.tile(c, _TILE), out=b[:split].reshape(-1, width))
-    np.subtract(a[split:], c, out=b[split:])
-    return b
+    if split:
+        width = _TILE * a.shape[1]
+        np.subtract(a[:split].reshape(-1, width), np.tile(c, _TILE), out=out[:split].reshape(-1, width))
+    np.subtract(a[split:], c, out=out[split:])
+    return out
 
 
 def _centre(a: np.ndarray) -> np.ndarray:
@@ -260,7 +261,7 @@ def _centre(a: np.ndarray) -> np.ndarray:
 
     ``c`` is the column mean, but a constant column is centred on its value:
     its rounded mean can be up to n ulps off, as its first centred entry
-    ``a[0] - c`` is (the bits of row 0 of ``_minus(a, c)``).
+    ``a[0] - c`` is.
     """
     c = _column_means(a)
     pairs = zip((a[0] - c).reshape(-1).tolist(), a[0].reshape(-1).tolist())
@@ -283,11 +284,12 @@ def _check_spread(spread: float, size: int) -> None:
 
 
 def _centred(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The centre ``c`` of ``a`` (see ``_centre``) and the centred values
-    ``a - c``, whose spread must pass ``_check_spread``."""
+    """The centre ``c`` of one coordinate's values ``a`` (see ``_centre``)
+    and the centred values ``a - c``, whose spread must pass
+    ``_check_spread``."""
     with np.errstate(over="ignore", invalid="ignore"):
         c = _centre(a)
-        b = _minus(a, c)
+        b = a - c
     _check_spread(max(float(b.max()), -float(b.min())), b.size)
     return c, b
 
@@ -296,22 +298,21 @@ def _centred_scatter(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The centre ``c`` of the points ``a`` (see ``_centre``) and their
     scatter matrix ``b.T @ b`` about it, ``b = a - c``, without ``b``.
 
-    The rows are taken in blocks of ``_SCATTER_BLOCK``, each centred by
-    ``_minus`` into one reused buffer in the layout ``a - c`` would have,
-    and the blocks' products ``q.T @ q`` are added up. A cloud of one block
-    has the bits of ``b.T @ b``; a larger cloud's scatter is a sum of block
-    products, which moves it in the last bits: as a two-level sum, it
-    typically lies nearer the exact one. numpy mirrors one triangle of each
-    product, so the sum is exactly symmetric, as ``eigen_symmetric``
-    requires. The spread of the whole cloud must pass ``_check_spread``; it
-    is checked after the pass, which ignores the overflow of a cloud that
-    fails it.
+    The C-ordered rows are taken in blocks of ``_SCATTER_BLOCK``, each
+    centred by ``_minus`` into one reused buffer, and the blocks' products
+    ``q.T @ q`` are added up. A cloud of one block has the bits of
+    ``b.T @ b``; a larger cloud's scatter is a sum of block products, which
+    moves it in the last bits: as a two-level sum, it typically lies nearer
+    the exact one. numpy mirrors one triangle of each product, so the sum is
+    exactly symmetric, as ``eigen_symmetric`` requires. The spread of the
+    whole cloud must pass ``_check_spread``; it is checked after the pass,
+    which ignores the overflow of a cloud that fails it.
     """
     n = len(a)
     spread = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         c = _centre(a)
-        q = np.empty_like(a[:_SCATTER_BLOCK])
+        q = np.empty((min(n, _SCATTER_BLOCK), a.shape[1]))
         for i in range(0, n, _SCATTER_BLOCK):
             block = _minus(a[i : i + _SCATTER_BLOCK], c, out=q[: n - i])
             spread = max(spread, float(block.max()), -float(block.min()))
@@ -376,9 +377,9 @@ def _principal_axes(cloud: PointCloud, k: int, name: str):
 
 
 def _distances(points: np.ndarray, origin: np.ndarray, u: np.ndarray, line: bool) -> np.ndarray:
-    """Orthogonal distance of each row of ``points`` to the flat through
-    ``origin``: the line along the unit vector ``u`` if ``line``, else the
-    hyperplane with unit normal ``u``.
+    """Orthogonal distance of each row of the C-ordered ``points`` to the
+    flat through ``origin``: the line along the unit vector ``u`` if
+    ``line``, else the hyperplane with unit normal ``u``.
 
     Each block of ``_BLOCK`` rows is centred on ``origin`` first, as
     ``normal . p + offset`` cancels when the points lie far from the origin.
@@ -392,20 +393,22 @@ def _distances(points: np.ndarray, origin: np.ndarray, u: np.ndarray, line: bool
     which for dim < 8 is numpy's order along a row to the bit (from 8 terms
     on, numpy adds a row pairwise, a few ulps away). ``q @ u`` stays on the
     row-major block: a gemv on the transposed block has other bits. Each
-    block is centred by ``_minus``; a line's residuals reuse one buffer.
+    block is centred by ``_minus`` into one reused buffer, and a line's
+    residuals reuse another.
     """
     # numpy takes the ``q @ u`` of a one-row block as a vector dot, not gemv,
     # with other bits. So a single point is taken as two copies of itself,
     # and a lone last row joins the block before it.
     if points.shape[0] == 1:
         return _distances(np.vstack((points, points)), origin, u, line)[:1]
-    n = points.shape[0]
+    n, dim = points.shape
     d = np.empty(n)
-    r = np.empty((points.shape[1], min(n, _BLOCK + 1))) if line else None
+    q_buffer = np.empty((min(n, _BLOCK + 1), dim))
+    r = np.empty((dim, min(n, _BLOCK + 1))) if line else None
     i = 0
     while i < n:
         j = i + _BLOCK if n - i > _BLOCK + 1 else n
-        q, out = _minus(points[i:j], origin), d[i:j]
+        q, out = _minus(points[i:j], origin, out=q_buffer[: j - i]), d[i:j]
         np.matmul(q, u, out=out)
         if line:
             rq = r[:, : j - i]
@@ -516,9 +519,20 @@ def distance_point_to_plane(p, plane: FittedHyperplane) -> float:
     return _point_distance(p, plane.centroid, plane.normal, False, "distance_point_to_plane")
 
 
-def _acute_angle_deg(cosine: float) -> float:
-    """Angle in [0, 90] degrees between undirected flats whose unit axes have this cosine."""
-    return math.degrees(math.acos(min(1.0, abs(cosine))))
+def _acute_angle_deg(cosine: float, u: np.ndarray, v: np.ndarray) -> float:
+    """Angle in [0, 90] degrees between undirected flats whose unit axes
+    ``u`` and ``v`` have this cosine.
+
+    ``acos`` loses a small angle: a cosine within 2**-30 of 1 (an angle
+    below about 0.0025 degrees) has few bits left to tell it from 1, and one
+    that rounds to 1 reads 0. There the angle is taken as ``2 asin(h / 2)``
+    from the chord ``h = |u - v|`` (``u + v`` for a negative cosine), which
+    keeps its relative accuracy down to the smallest angles.
+    """
+    if abs(cosine) <= 1.0 - 2.0**-30:
+        return math.degrees(math.acos(abs(cosine)))
+    chord = math.hypot(*(u - math.copysign(1.0, cosine) * v).tolist())
+    return math.degrees(2.0 * math.asin(chord / 2.0))
 
 
 def total_orthogonal_error(cloud: PointCloud, model) -> ResidualStats:

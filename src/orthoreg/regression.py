@@ -123,12 +123,28 @@ def conjugate_line(xs, ys) -> AffineLine2D:
     return _classical(columns, _moments(columns), Orientation.X_ON_Y)
 
 
+def _power_of_two_scaled(w: np.ndarray) -> np.ndarray:
+    """``w`` scaled exactly, by a power of two, to a largest |entry| in
+    [0.5, 1). InvalidInputError for a zero or non-finite vector."""
+    entries = w.tolist()
+    if not any(entries) or not all(map(math.isfinite, entries)):
+        raise InvalidInputError("directions must be non-zero and finite")
+    return np.ldexp(w, -math.frexp(max(map(abs, entries)))[1])
+
+
 def angle_between_lines_deg(u, v) -> float:
-    """Angle between two undirected directions, degrees in [0, 90]."""
+    """Angle between two undirected directions, degrees in [0, 90].
+
+    The directions must be non-zero and finite, else InvalidInputError. Each
+    is scaled by a power of two first, which is exact, so that the dot
+    product and the norms neither overflow nor lose a tiny vector to
+    underflow: the angle does not depend on the directions' lengths.
+    """
     message = "directions must be vectors of equal length"
-    u = float_array(u, (None,), message)
-    v = float_array(v, u.shape, message)
-    return _acute_angle_deg(float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v)))
+    u = _power_of_two_scaled(float_array(u, (None,), message))
+    v = _power_of_two_scaled(float_array(v, u.shape, message))
+    norm_u, norm_v = np.linalg.norm(u), np.linalg.norm(v)
+    return _acute_angle_deg(float(u @ v) / (norm_u * norm_v), u / norm_u, v / norm_v)
 
 
 def _inclination_deg(direction, lean: float) -> float:

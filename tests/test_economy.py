@@ -175,6 +175,18 @@ class TestAngles:
         hu = plane_from_normal([0.7362, 0.6745, -0.0545])
         assert plane_angle(sk, hu) == pytest.approx(8.580230523065422, abs=1e-9)
 
+    def test_small_angles_keep_their_relative_accuracy(self):
+        """A normal tilted by t from the z-axis: the planes' dihedral angle
+        and the slope against the unemployment-GDP plane are t."""
+        z = plane_from_normal([0.0, 0.0, 1.0])
+        for t in np.logspace(-16, 0, 321).tolist():
+            tilted = plane_from_normal([math.sin(t), 0.0, math.cos(t)])
+            expected = math.degrees(t)
+            for got in (plane_angle(z, tilted), plane_angle(tilted, z), plane_slopes(tilted)[0]):
+                assert abs(got - expected) <= 1e-9, t
+                if expected < 1e-3:
+                    assert abs(got - expected) <= 1e-14 * expected, t
+
     def test_slopes_axis_aligned(self):
         z0 = plane_from_normal([0.0, 0.0, 1.0])
         assert plane_slopes(z0) == pytest.approx((0.0, 90.0, 90.0), abs=1e-12)

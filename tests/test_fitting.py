@@ -32,7 +32,6 @@ from orthoreg.fitting import (
     FittedLine,
     ResidualStats,
     _checked_distances,
-    _centred,
     _column_means,
     _distances,
 )
@@ -89,6 +88,16 @@ class TestPointCloud:
     def test_nan_is_rejected(self):
         with pytest.raises(InvalidInputError, match="point coordinates must be finite"):
             PointCloud([[1.0, 2.0], [np.nan, 3.0]])
+
+    def test_c_ordered_points_are_kept_and_other_layouts_copied(self):
+        """A C-ordered float64 array is the cloud's points; any other layout
+        or dtype is copied once to a C-ordered float64 array of its values."""
+        points = np.random.default_rng(3).normal(size=(50, 3))
+        assert PointCloud(points).points is points
+        for other in list(_layouts(points).values())[1:] + [points.astype(np.float32)]:
+            kept = PointCloud(other).points
+            assert kept is not other and kept.flags.c_contiguous and kept.dtype == float
+            assert (kept == other).all()
 
     def test_validation_allocates_no_mask(self):
         """The finiteness check allocates less than a bool per coordinate."""
@@ -586,12 +595,19 @@ class TestBlockedResiduals:
             assert np.concatenate(alone).tobytes() == group.tobytes()
 
 
+#: The layouts of ``_layouts``.
+LAYOUTS = ("C", "F", "sliced", "strided", "reversed")
+
+
 def _layouts(points):
-    """``points`` as a C-ordered array, a Fortran-ordered copy, and views of
-    the first columns and of every other column of a wider array."""
+    """``points`` as a C-ordered array, a Fortran-ordered copy, views of the
+    first columns and of every other column of a wider array, and a view
+    with a negative row stride: the same values in every layout."""
     sliced = np.hstack((points, points))[:, : points.shape[1]]
     strided = np.repeat(points, 2, axis=1)[:, ::2]
-    return {"C": points, "F": np.asfortranarray(points), "sliced": sliced, "strided": strided}
+    reversed_rows = points[::-1].copy()[::-1]
+    views = (points, np.asfortranarray(points), sliced, strided, reversed_rows)
+    return dict(zip(LAYOUTS, views))
 
 
 def _per_block_distances(points, origin, u, line):
@@ -616,9 +632,10 @@ def _per_block_distances(points, origin, u, line):
 
 
 class TestRowMajorPasses:
-    """The n-row passes of a fit run their loops down the rows, with numpy's
-    operations in numpy's order, so every result keeps its bits in every
-    layout."""
+    """The n-row passes of a fit run their loops down the rows of the
+    C-ordered points, with numpy's operations in numpy's order, so every
+    result keeps the bits of the plain expressions; a cloud in any other
+    layout is copied to C order first and gets the same bits."""
 
     @pytest.mark.parametrize("n", [1, 2, 7, _BLOCK + 1, 100_000])
     def test_column_sums_are_add_reduce_to_the_bit(self, n):
@@ -626,13 +643,12 @@ class TestRowMajorPasses:
         for dim in range(1, 10):
             offset = rng.choice([-1e8, 0.0, 1e8], size=dim)
             points = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3, 3, dim) + offset
-            for layout, a in _layouts(points).items():
-                expected = np.add.reduce(a, axis=0) / n
-                assert _column_means(a).tobytes() == expected.tobytes(), (layout, dim)
+            expected = np.add.reduce(points, axis=0) / n
+            assert _column_means(points).tobytes() == expected.tobytes(), dim
             # regression's 1-D coordinates
             assert _column_means(points[:, 0]) == np.add.reduce(points[:, 0]) / n
 
-    @pytest.mark.parametrize("layout", ["C", "F", "sliced", "strided"])
+    @pytest.mark.parametrize("layout", LAYOUTS)
     def test_a_column_sum_that_overflows_takes_the_scaled_path(self, layout):
         n = 9
         points = np.column_stack([np.full(n, 1.5e308), np.linspace(1e308, 1.7e308, n),
@@ -649,39 +665,49 @@ class TestRowMajorPasses:
     def test_residual_pass_keeps_the_per_block_bits(self, n):
         for dim in range(2, 10):
             cloud, origin, u = _offset_cloud_and_line(n, dim)
-            for layout, points in _layouts(cloud.points).items():
-                for line in (True, False):
-                    got = _distances(points, origin, u, line)
-                    expected = _per_block_distances(points, origin, u, line)
-                    assert got.tobytes() == expected.tobytes(), (layout, dim, line)
+            for line in (True, False):
+                got = _distances(cloud.points, origin, u, line)
+                expected = _per_block_distances(cloud.points, origin, u, line)
+                assert got.tobytes() == expected.tobytes(), (dim, line)
 
-    @pytest.mark.parametrize("layout", ["C", "F", "sliced", "strided"])
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("n, dim", [(5, 2), (300, 3), (_BLOCK + 1, 5), (2 * _BLOCK + 1, 9),
                                         (_SCATTER_BLOCK - 1, 5), (_SCATTER_BLOCK, 4)])
     def test_fits_keep_the_add_reduce_bits(self, layout, n, dim):
-        """A fit is the mean by ``np.add.reduce``, ``b = points - c``, the
-        eigenvectors of ``b.T @ b`` and the per-block residual pass. The
-        scatter pass takes up to ``_SCATTER_BLOCK`` points as one block, so
-        there it has the bits of ``b.T @ b``."""
-        points = _layouts(_offset_cloud_and_line(n, dim)[0].points)[layout]
-        c = np.add.reduce(points, axis=0) / n
-        b = points - c
+        """In every layout, a fit is the mean by ``np.add.reduce`` of the
+        C-ordered points ``a``, ``b = a - c``, the eigenvectors of
+        ``b.T @ b`` and the per-block residual pass over ``a``. The scatter
+        pass takes up to ``_SCATTER_BLOCK`` points as one block, so there it
+        has the bits of ``b.T @ b``."""
+        a = _offset_cloud_and_line(n, dim)[0].points
+        c = np.add.reduce(a, axis=0) / n
+        b = a - c
         axes = eigen_symmetric(b.T @ b).eigenvectors
-        line, plane = fit_line(PointCloud(points)), fit_hyperplane(PointCloud(points))
-        for origin, u, stats, is_line in ((line.anchor, line.direction, line.error, True),
-                                          (plane.centroid, plane.normal, plane.error, False)):
+        points = _layouts(a)[layout]
+        cloud = PointCloud(points)
+        assert centroid(cloud).tobytes() == c.tobytes()
+        assert scatter_matrix(cloud).tobytes() == (b.T @ b).tobytes()
+        line, plane = fit_line(cloud), fit_hyperplane(cloud)
+        rows = sorted({0, n // 2, n - 1})
+        cases = ((line, line.anchor, line.direction, distance_point_to_line, True),
+                 (plane, plane.centroid, plane.normal, distance_point_to_plane, False))
+        for model, origin, u, point_distance, is_line in cases:
             assert origin.tobytes() == c.tobytes()
             assert u.tobytes() == (axes[0] if is_line else axes[-1]).tobytes()
-            expected = _per_block_distances(points, c, u, is_line)
-            assert stats.per_point_distance.tobytes() == expected.tobytes()
-        assert scatter_matrix(PointCloud(points)).tobytes() == (b.T @ b).tobytes()
+            expected = _per_block_distances(a, c, u, is_line)
+            assert model.error.per_point_distance.tobytes() == expected.tobytes()
+            total = total_orthogonal_error(cloud, model)
+            assert total.per_point_distance.tobytes() == expected.tobytes()
+            for k in rows:
+                alone = _per_block_distances(a[k : k + 1], c, u, is_line)[0]
+                assert point_distance(points[k], model) == alone, k
 
 
 class TestScatterBlocks:
     """Beyond ``_SCATTER_BLOCK`` points the scatter matrix is a sum of block
     products: exactly symmetric, and within the rounding of ``b.T @ b``."""
 
-    @pytest.mark.parametrize("layout", ["C", "F", "sliced", "strided"])
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("n", [_SCATTER_BLOCK + 1, 3 * _SCATTER_BLOCK + 5])
     def test_a_sum_of_block_products_is_within_the_rounding_of_one(self, layout, n):
         """Any order of adding the n products of an entry, each rounded once,
@@ -692,7 +718,7 @@ class TestScatterBlocks:
         is at least (1 - gamma_n) of the exact one."""
         for dim in (2, 3, 5):
             points = _layouts(_offset_cloud_and_line(n, dim)[0].points)[layout]
-            b = _centred(points)[1]
+            b = points - centroid(PointCloud(points))
             s = scatter_matrix(PointCloud(points))
             assert (s == s.T).all()
             gamma = n * 2.0**-53 / (1.0 - n * 2.0**-53)

@@ -36,7 +36,7 @@ from orthoreg.regression import (
 
 RECORDED_WITH_NUMPY = "2.4.6"
 
-DIGEST = "5ef1e2200fe5eb6c0d8c44be9dc2b4efc36c2543299b523348da02fa65c4f2b6"
+DIGEST = "65f26c6f30cbd715151228a1e7aeab8065fd241709f810a97f5fb7a3b8ae2b7f"
 
 #: The slopes of ``test_regression.TestSteepLines``.
 STEEP_SLOPES = (

@@ -16,6 +16,8 @@ from orthoreg import (
     ols_line,
 )
 
+from orthoreg.regression import angle_between_lines_deg
+
 from _helpers import same_up_to_sign
 
 
@@ -312,3 +314,38 @@ class TestProperties:
             bs = line.intercept + rng.normal(size=10_000)
             errs = ((y[None, :] - ks[:, None] * x[None, :] - bs[:, None]) ** 2).sum(axis=1)
             assert best <= float(errs.min()) + 1e-12
+
+
+class TestAngleBetweenLines:
+    """Angles between undirected directions, accurate down to the smallest."""
+
+    def test_a_direction_makes_no_angle_with_itself(self):
+        rng = np.random.default_rng(21)
+        for _ in range(10_000):
+            u = rng.normal(size=int(rng.integers(2, 6)))
+            assert angle_between_lines_deg(u, u) == 0.0
+            assert angle_between_lines_deg(u, -u) == 0.0
+
+    def test_small_angles_keep_their_relative_accuracy(self):
+        """The angle of ``[1, y]`` from the x-axis is atan(y)."""
+        for y in np.logspace(-16, 0, 1601).tolist():
+            expected = math.degrees(math.atan(y))
+            got = angle_between_lines_deg([1.0, 0.0], [1.0, y])
+            assert abs(got - expected) <= 1e-9, y
+            if expected < 1e-3:
+                assert abs(got - expected) <= 1e-14 * expected, y
+
+    @pytest.mark.parametrize("u, v", [([1e200, 1e200], [1e200, -1e200]),
+                                      ([1e-200, 0.0], [0.0, 1e-200])])
+    def test_lengths_beyond_the_squares_range(self, u, v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert angle_between_lines_deg(u, v) == 90.0
+
+    @pytest.mark.parametrize("u", [[0.0, 0.0], [math.inf, 1.0], [math.nan, 1.0], []])
+    def test_zero_or_non_finite_directions_raise(self, u):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pair in ((u, [1.0, 2.0][: len(u)]), ([1.0, 2.0][: len(u)], u)):
+                with pytest.raises(InvalidInputError, match="non-zero and finite"):
+                    angle_between_lines_deg(*pair)

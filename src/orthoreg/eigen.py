@@ -13,19 +13,15 @@ arithmetic. The rotations do the same IEEE operations in the same order as
 the array form with masked updates (kept in the tests as the reference), so
 the eigenpairs are the same to the bit. The norm and the per-sweep
 off-diagonal mass are sums of squares, and one ulp in the convergence test
-can change the number of sweeps, so ``_pairwise_sum`` adds them in the order
-``np.add.reduce`` uses on a contiguous float64 array.
-``tests/test_eigen.py::test_pairwise_sum_matches_numpy`` pins that order
-against the installed numpy.
+can change the number of sweeps, so both are taken with ``math.fsum``: it
+rounds the exact sum once, so the sweep count depends on no summation order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain
-from operator import add
 
 import numpy as np
 
@@ -64,29 +60,6 @@ def _leads_negative(v) -> bool:
     return False
 
 
-def _pairwise_sum(terms: list[float]) -> float:
-    """Sum of non-negative ``terms``, equal to ``float(np.sum(terms))`` bit for bit.
-
-    numpy adds a contiguous float64 array pairwise: one term at a time below
-    8 terms, into 8 interleaved partial sums up to 128 terms (then the partial
-    sums as a tree, then the leftover terms one at a time), and above that as
-    two halves whose split is rounded down to a multiple of 8.
-    """
-    n = len(terms)
-    if n < 8:
-        return reduce(add, terms, 0.0)
-    if n <= 128:
-        body = n - n % 8
-        r = terms[:8]
-        for i in range(8, body, 8):
-            r = list(map(add, r, terms[i:i + 8]))
-        r0, r1, r2, r3, r4, r5, r6, r7 = r
-        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        return reduce(add, terms[body:], total)
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-
-
 def _rotate(a: list[list[float]], v: list[list[float]], p: int, q: int) -> None:
     """One Jacobi rotation zeroing a[p][q], keeping ``a`` exactly symmetric."""
     apq = a[p][q]
@@ -115,11 +88,10 @@ def _rotate(a: list[list[float]], v: list[list[float]], p: int, q: int) -> None:
 
 
 def _off_diagonal_mass(a: list[list[float]]) -> float:
-    """Frobenius norm of ``a`` without its diagonal, summed in the row-major
-    order of the array ``a - diag(a)`` (whose diagonal squares are 0.0)."""
-    squares = [x * x for row in a for x in row]
-    squares[::len(a) + 1] = [0.0] * len(a)
-    return math.sqrt(_pairwise_sum(squares))
+    """Frobenius norm of ``a`` without its diagonal."""
+    return math.sqrt(
+        math.fsum(x * x for i, row in enumerate(a) for j, x in enumerate(row) if i != j)
+    )
 
 
 def eigen_symmetric(m) -> EigenDecomposition:
@@ -159,9 +131,7 @@ def eigen_symmetric(m) -> EigenDecomposition:
     # convergence test from overflowing or underflowing.
     _, exponent = math.frexp(max(map(abs, chain.from_iterable(entries))))
     a = [[math.ldexp(x, -exponent) for x in row] for row in entries]
-    tolerance = OFF_DIAGONAL_TOLERANCE * math.sqrt(
-        _pairwise_sum([x * x for row in a for x in row])
-    )
+    tolerance = OFF_DIAGONAL_TOLERANCE * math.sqrt(math.fsum(x * x for row in a for x in row))
     v = [[float(i == j) for j in range(n)] for i in range(n)]
 
     for _ in range(MAX_SWEEPS):

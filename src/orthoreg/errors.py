@@ -26,16 +26,17 @@ class InvalidInputError(OrthoregError, ValueError):
 
 
 def float_array(value, shape, message: str) -> np.ndarray:
-    """``value`` as a float array of ``shape``, which has one entry per axis:
-    a length, or None for any length. InvalidInputError(message) for ragged
-    rows, values numpy cannot convert to float, complex values, or any other
-    shape."""
+    """``value`` as a C-ordered float array of ``shape``, which has one entry
+    per axis: a length, or None for any length. A C-ordered float64 array is
+    returned as it is; any other input is converted or copied once.
+    InvalidInputError(message) for ragged rows, values numpy cannot convert
+    to float, complex values, or any other shape."""
     try:
         a = np.asarray(value)
         # numpy would cast complex values with a warning, dropping their
         # imaginary parts; they stay complex and fail the dtype check below.
         if a.dtype.kind != "c":
-            a = a.astype(float, copy=False)
+            a = a.astype(float, order="C", copy=False)
     except (TypeError, ValueError):  # ragged rows, strings, objects
         raise InvalidInputError(message) from None
     if a.dtype != float or a.ndim != len(shape) or not all(

@@ -90,7 +90,7 @@ class PointCloud:
 
     def __post_init__(self):
         message = "points must be a 2-D array of shape (n, dim)"
-        pts = np.ascontiguousarray(float_array(self.points, (None, None), message))
+        pts = float_array(self.points, (None, None), message)
         if pts.shape[0] < 1 or pts.shape[1] < 1:
             raise InvalidInputError("point cloud needs at least one point and one dimension")
         # min and max propagate NaN, and they allocate no (n, dim) mask.

@@ -56,10 +56,13 @@ def _span(lo: float, hi: float) -> tuple[float, float]:
 
 
 def nice_ticks(lo: float, hi: float):
-    """Tick positions covering [lo, hi] on the 1-2-5 ladder, plus label decimals."""
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise InvalidInputError("tick bounds must be finite")
+    """Tick positions covering [lo, hi] on the 1-2-5 ladder, plus label decimals.
+
+    InvalidInputError when a bound is not finite or the width overflows.
+    """
     lo, hi = _span(lo, hi)
+    if not math.isfinite(hi - lo):
+        raise InvalidInputError("tick bounds and their width must be finite")
     raw = (hi - lo) / TICK_TARGET
     magnitude = 10.0 ** math.floor(math.log10(raw))
     step = 10.0 * magnitude

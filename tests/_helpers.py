@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -95,6 +96,82 @@ def exact_line_distance(p, origin, u) -> float:
     return math.ldexp(math.sqrt(sq / 4**k), k)
 
 
+def _decimal_asin(x: Decimal) -> Decimal:
+    """asin(x) for 0 <= x <= 0.75 by its Taylor series, to the context's precision."""
+    total, previous, term, k = x, None, x, 0
+    while total != previous:
+        k += 1
+        term *= x * x * (2 * k - 1) * (2 * k - 1) / ((2 * k) * (2 * k + 1))
+        previous, total = total, total + term
+    return total
+
+
+def reference_angle_deg(u, v) -> Decimal:
+    """The angle in degrees between the undirected lines along ``u`` and
+    ``v``, from their exact float values at 60 digits: ``2 asin(h / 2)`` for
+    the chord ``h = |u/|u| - v/|v||`` (``+`` when ``u . v < 0``)."""
+    with localcontext() as context:
+        context.prec = 60
+        u = [Decimal(float(x)) for x in u]
+        v = [Decimal(float(x)) for x in v]
+        norm_u = sum(x * x for x in u).sqrt()
+        norm_v = sum(x * x for x in v).sqrt()
+        sign = -1 if sum(a * b for a, b in zip(u, v)) < 0 else 1
+        chord = sum((a / norm_u - sign * b / norm_v) ** 2 for a, b in zip(u, v)).sqrt()
+        return 2 * _decimal_asin(chord / 2) * 180 / (6 * _decimal_asin(Decimal("0.5")))
+
+
+#: Unit roundoff of float64.
+UNIT_ROUNDOFF = 2.0**-53
+
+#: Angles (radians) below which ``_acute_angle_deg`` takes the chord, not acos.
+CHORD_BELOW = math.acos(1.0 - 2.0**-30)
+
+
+def angle_error_bound_deg(theta_deg: float, dim: int) -> float:
+    """How far an angle between flats in ``dim`` dimensions may be from the
+    exact angle ``theta_deg`` between the lines its float inputs span.
+
+    With u = 2**-53, a rounded unit axis (``w / np.linalg.norm(w)``, or a
+    fitted unit normal) is within eta = (dim/2 + 2) u of the exact unit axis:
+    (dim/2 + 1) u from the norm, u from the division. So:
+
+    - the chord branch (angles below CHORD_BELOW) takes ``2 asin(h / 2)`` of
+      a chord ``h`` that is off by at most 2 eta = (dim + 4) u, and asin's
+      slope there is 1;
+    - the acos branch takes a cosine off by at most (2 dim + 4) u: dim u
+      from the dot product, 2 eta from the axes' lengths. acos has slope
+      1 / sin(theta).
+
+    Each branch then adds a relative 8 u for its own roundings (difference,
+    hypot or acos, asin, the conversion to degrees). Near the switch either
+    branch may be taken, so the looser acos bound holds from CHORD_BELOW / 2.
+    """
+    theta = math.radians(theta_deg)
+    if theta < CHORD_BELOW / 2.0:
+        absolute = (dim + 4) * UNIT_ROUNDOFF
+    else:
+        absolute = (2 * dim + 4) * UNIT_ROUNDOFF / math.sin(theta)
+    return math.degrees(absolute + 8.0 * UNIT_ROUNDOFF * theta)
+
+
+def directions_at_angle(rng: np.random.Generator, dim: int, theta_deg: float, axis=None):
+    """Two directions in ``dim`` dimensions about ``theta_deg`` apart, each of
+    a random length in 1e-3..1e3, the second flipped at random. The first is
+    along the unit ``axis`` if one is given, else random."""
+    if axis is None:
+        u = rng.normal(size=dim)
+        u /= np.linalg.norm(u)
+    else:
+        u = np.array(axis, dtype=float)
+    w = rng.normal(size=dim)
+    w -= (w @ u) * u
+    w /= np.linalg.norm(w)
+    theta = math.radians(theta_deg)
+    v = math.cos(theta) * u + math.sin(theta) * w
+    return u * 10.0 ** rng.uniform(-3, 3), v * rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)
+
+
 def reference_parse_indicator_csv(text: str, delimiter: str = ",") -> list[IndicatorSeries]:
     """Indicator series of a valid long table, read with ``csv.reader`` and
     ``float`` per cell and grouped by country in order of first appearance."""
@@ -118,7 +195,7 @@ def reference_eigen_symmetric(m):
     """
     def off_diagonal_mass(a):
         off = a - np.diag(np.diag(a))
-        return float(np.sqrt(np.sum(off * off)))
+        return math.sqrt(math.fsum((off * off).ravel()))
 
     def rotate(a, v, p, q):
         apq = a[p, q]
@@ -158,7 +235,7 @@ def reference_eigen_symmetric(m):
     a = np.ldexp(m, -exponent)
     n = m.shape[0]
     v = np.eye(n)
-    norm = float(np.sqrt(np.sum(a * a)))
+    norm = math.sqrt(math.fsum((a * a).ravel()))
     # theta overflows to inf when |a[p, q]| is tiny; that is the intended path.
     with np.errstate(over="ignore"):
         for _ in range(MAX_SWEEPS):

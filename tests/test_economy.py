@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from orthoreg import (
     trajectory,
     v4_dataset,
 )
-from orthoreg.economy import V4_COUNTRIES, V4_REPORT_ORDER
+from orthoreg.economy import COORDINATE_PLANES, V4_COUNTRIES, V4_REPORT_ORDER
 
-from _helpers import same_up_to_sign
+from _helpers import angle_error_bound_deg, directions_at_angle, reference_angle_deg, same_up_to_sign
 
 REFERENCE = {
     # country: (normal, centroid, err) from the published indicator table
@@ -186,6 +187,28 @@ class TestAngles:
                 assert abs(got - expected) <= 1e-9, t
                 if expected < 1e-3:
                     assert abs(got - expected) <= 1e-14 * expected, t
+
+    def test_angles_against_a_high_precision_reference(self):
+        """From 1e-12 to 90 degrees, within ``angle_error_bound_deg`` of the
+        60-digit angle between the lines the float normals span."""
+        rng = np.random.default_rng(43)
+        for theta in np.logspace(-12, math.log10(90.0), 600).tolist():
+            a, b = (plane_from_normal(n) for n in directions_at_angle(rng, 3, theta))
+            expected = reference_angle_deg(a.plane.normal, b.plane.normal)
+            got = plane_angle(a, b)
+            assert abs(Decimal(got) - expected) <= angle_error_bound_deg(float(expected), 3), theta
+
+    def test_slopes_against_a_high_precision_reference(self):
+        """A normal from 1e-12 to 90 degrees off each coordinate axis: the
+        slope against that axis's plane is within ``angle_error_bound_deg``
+        of the 60-digit angle between the lines they span."""
+        rng = np.random.default_rng(44)
+        for theta in np.logspace(-12, math.log10(90.0), 200).tolist():
+            for k, (_, axis) in enumerate(COORDINATE_PLANES):
+                tilted = plane_from_normal(directions_at_angle(rng, 3, theta, axis)[1])
+                expected = reference_angle_deg(tilted.plane.normal, axis)
+                got = plane_slopes(tilted)[k]
+                assert abs(Decimal(got) - expected) <= angle_error_bound_deg(float(expected), 3), theta
 
     def test_slopes_axis_aligned(self):
         z0 = plane_from_normal([0.0, 0.0, 1.0])

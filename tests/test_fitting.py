@@ -99,6 +99,11 @@ class TestPointCloud:
             assert kept is not other and kept.flags.c_contiguous and kept.dtype == float
             assert (kept == other).all()
 
+    def test_a_fortran_ordered_integer_array_is_copied_once(self):
+        """Conversion to float and to C order is one copy, not two."""
+        points = np.asfortranarray(np.arange(3_000_000).reshape(-1, 3))
+        assert _traced_peak(lambda: PointCloud(points)) <= points.nbytes + 2**20
+
     def test_validation_allocates_no_mask(self):
         """The finiteness check allocates less than a bool per coordinate."""
         points = np.random.default_rng(0).normal(size=(100_000, 3))

@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from orthoreg import (
 
 from orthoreg.regression import angle_between_lines_deg
 
-from _helpers import same_up_to_sign
+from _helpers import angle_error_bound_deg, directions_at_angle, reference_angle_deg, same_up_to_sign
 
 
 class TestOlsLine:
@@ -334,6 +335,17 @@ class TestAngleBetweenLines:
             assert abs(got - expected) <= 1e-9, y
             if expected < 1e-3:
                 assert abs(got - expected) <= 1e-14 * expected, y
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_angles_against_a_high_precision_reference(self, dim):
+        """From 1e-12 to 90 degrees, within ``angle_error_bound_deg`` of the
+        60-digit angle between the lines the float inputs span."""
+        rng = np.random.default_rng(40 + dim)
+        for theta in np.logspace(-12, math.log10(90.0), 600).tolist():
+            u, v = directions_at_angle(rng, dim, theta)
+            expected = reference_angle_deg(u, v)
+            got = angle_between_lines_deg(u, v)
+            assert abs(Decimal(got) - expected) <= angle_error_bound_deg(float(expected), dim), theta
 
     @pytest.mark.parametrize("u, v", [([1e200, 1e200], [1e200, -1e200]),
                                       ([1e-200, 0.0], [0.0, 1e-200])])

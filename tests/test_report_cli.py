@@ -272,6 +272,17 @@ def test_nice_ticks_are_few_and_increasing(bounds):
     assert all(a < b for a, b in zip(ticks, ticks[1:]))
 
 
+@pytest.mark.parametrize("bounds", [
+    (-1e308, 1e308), (-1.7e308, 1.7e308), (0.0, math.inf), (-math.inf, math.inf),
+    (math.inf, math.inf), (math.nan, 1.0), (1.0, math.nan),
+])
+def test_nice_ticks_reject_bounds_or_widths_beyond_the_float_range(bounds):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="^tick bounds and their width must be finite$"):
+            nice_ticks(*bounds)
+
+
 def axis_ticks(svg_text, anchor):
     """The values of the axis labels: anchor "middle" for x, "end" for y."""
     return [float(el.text) for el in svg_elements(svg_text, "text", "axis")

@@ -46,6 +46,7 @@ import numpy as np
 
 from . import __version__
 from .dataio import (
+    check_delimiter,
     format_cloud_csv,
     format_indicator_csv,
     parse_cloud_csv,
@@ -199,9 +200,10 @@ def _write_files(files) -> None:
 
 
 def _delimiter_arg(text: str) -> str:
-    if len(text) != 1:
-        raise argparse.ArgumentTypeError("delimiter must be a single character")
-    return text
+    try:
+        return check_delimiter(text)
+    except InvalidInputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _columns_arg(text: str | None):
@@ -233,8 +235,17 @@ def _vec3_arg(text: str):
         raise argparse.ArgumentTypeError("coordinates must be numbers") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are one ``error: ...`` line on
+    stderr, as every other failed command's are; ``--help`` still prints
+    the usage."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orthoreg",
         description="Orthogonal-distance (total least squares) fitting of lines and planes.",
         epilog=(

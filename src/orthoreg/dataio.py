@@ -14,6 +14,11 @@ to ``float()`` on each cell. Any other input goes through the row-by-row
 parser, which alone raises the ``ParseError``/``SchemaError`` messages, so
 they are the same whichever path ran first.
 
+A delimiter is one character other than the quote ``"``, CR and LF
+(``check_delimiter``); a number cell is ASCII without ``_``, as
+``np.loadtxt`` takes it, so ``1_0``, ``１２`` and ``١٢`` are not numbers on
+either path.
+
 ``parse_indicator_csv`` reads its table through ``parse_cloud_csv`` too, then
 checks the country codes and years: a missing or non-numeric cell in any row
 is reported before an empty country code or a non-integer year in an earlier row.
@@ -51,6 +56,16 @@ def _source_text(source) -> str:
     return source
 
 
+def check_delimiter(delimiter) -> str:
+    """``delimiter`` if it is one character other than ``"``, CR and LF, the
+    characters that quote a cell or end a line; else InvalidInputError."""
+    if not isinstance(delimiter, str) or len(delimiter) != 1 or delimiter in '"\r\n':
+        raise InvalidInputError(
+            f"delimiter must be a single character other than '\"', CR and LF, not {delimiter!r}"
+        )
+    return delimiter
+
+
 def _text_rows(text: str, delimiter: str):
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     try:
@@ -81,6 +96,8 @@ def _cell_float(row, idx: int, row_number: int, name: str) -> float:
         raise ParseError(f"row {row_number}: missing value for column {name!r}")
     cell = row[idx].strip()
     try:
+        if not cell.isascii() or "_" in cell:  # float() takes them, np.loadtxt does not
+            raise ValueError
         value = float(cell)
     except ValueError:
         raise ParseError(
@@ -113,6 +130,7 @@ def parse_cloud_csv(source, columns=None, label_column=None, delimiter: str = ",
     non-numeric selected cell aborts the parse with the offending row and
     column named.
     """
+    check_delimiter(delimiter)
     text = _source_text(source)
     cloud = _parse_cloud_bulk(text, columns, label_column, delimiter)
     if cloud is None:
@@ -128,7 +146,7 @@ def _parse_cloud_bulk(text: str, columns, label_column, delimiter: str):
     the lines. None means: let ``_parse_cloud_rows`` parse the input or name
     its error.
     """
-    if len(delimiter) != 1 or delimiter in '"\n' or '"' in text:
+    if '"' in text:
         return None
     lines = [line for line in text.split("\n") if line]  # csv skips empty lines
     if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
@@ -240,6 +258,7 @@ def parse_indicator_csv(source, delimiter: str = ",") -> list[IndicatorSeries]:
 
 __all__ = [
     "INDICATOR_FIELDS",
+    "check_delimiter",
     "parse_cloud_csv",
     "format_cloud_csv",
     "format_indicator_csv",

@@ -202,7 +202,14 @@ def plane_slopes(p: EconomyPlane) -> tuple[float, float, float]:
 def economy_indicators(
     series_list, metric: str = DEFAULT_ERROR_METRIC
 ) -> EconomyIndicators:
-    """Fit all planes and assemble the derived indicator set, input order kept."""
+    """Fit all planes and assemble the derived indicator set, input order kept.
+    InvalidInputError if a country code repeats: the slopes are keyed by it."""
+    series_list = tuple(series_list)
+    seen = set()
+    for s in series_list:
+        if s.country in seen:
+            raise InvalidInputError(f"{s.country}: country code repeated")
+        seen.add(s.country)
     planes = tuple(economy_plane(s, metric=metric) for s in series_list)
     n = len(planes)
     angles = np.zeros((n, n))

@@ -13,12 +13,15 @@ the last). Every centre comes from ``_centre``, and every spread passes
 coordinate of their cloud with ``_centred``.
 
 No fit makes a centred copy of its cloud. The scatter matrix is one pass,
-``_centred_scatter``, that centres ``_SCATTER_BLOCK`` rows at a time into one
-reused buffer and adds each block's ``q.T @ q``. A cloud of up to
-``_SCATTER_BLOCK`` points is one block, so its scatter matrix has the bits
-of ``b.T @ b`` for the centred points ``b``; a larger cloud's is a sum of
-block products, which moves it in the last bits, typically nearer the exact
-sum. Residuals are one pass, ``_distances``, for the fits,
+``_centred_scatter``. A cloud of up to ``_SCATTER_BLOCK`` points is centred
+into one buffer ``b`` and its scatter matrix has the bits of ``b.T @ b``. A
+larger cloud is centred ``_SCATTER_BLOCK`` rows at a time, coordinate-major,
+into one reused buffer, and each block adds the dot products of its
+coordinates' rows: no rank-k matrix product, which costs several times
+more. That scatter matrix is within a documented bound of the exact sum,
+not ``b.T @ b`` to the bit, and typically nearer the exact sum. Its last
+bits follow how the BLAS splits a long dot product, which may depend on its
+thread count. Residuals are one pass, ``_distances``, for the fits,
 ``total_orthogonal_error`` and the point distances alike. It takes the
 points in blocks of ``_BLOCK`` rows and centres each block on the flat's
 centre into one reused buffer (``a[i:j] - c`` is ``(a - c)[i:j]`` to the
@@ -27,8 +30,8 @@ cloud's size. ``_checked_distances`` adds the rescue of distances whose
 squares leave the float range; a fit's spread rule already rules them out.
 
 A ``PointCloud`` holds its points C-ordered, copying any other layout once,
-so every pass over the n rows sees one layout and a fit's bits depend on
-the values alone. Each pass runs numpy's inner loop down the rows, not
+so every pass over the n rows sees one layout and a fit's bits do not
+depend on the layout. Each pass runs numpy's inner loop down the rows, not
 across the few coordinates of one row, whose per-loop overhead would
 dominate: the column sums go through ``einsum`` (``_column_means``), the
 centring through a tiled centre (``_minus``), and a line's residuals are
@@ -298,29 +301,42 @@ def _centred_scatter(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The centre ``c`` of the points ``a`` (see ``_centre``) and their
     scatter matrix ``b.T @ b`` about it, ``b = a - c``, without ``b``.
 
-    The C-ordered rows are taken in blocks of ``_SCATTER_BLOCK``, each
-    centred by ``_minus`` into one reused buffer, and the blocks' products
-    ``q.T @ q`` are added up. A cloud of one block has the bits of
-    ``b.T @ b``; a larger cloud's scatter is a sum of block products, which
-    moves it in the last bits: as a two-level sum, it typically lies nearer
-    the exact one. numpy mirrors one triangle of each product, so the sum is
-    exactly symmetric, as ``eigen_symmetric`` requires. The spread of the
-    whole cloud must pass ``_check_spread``; it is checked after the pass,
-    which ignores the overflow of a cloud that fails it.
+    A cloud of up to ``_SCATTER_BLOCK`` points is centred by ``_minus`` into
+    a C-ordered buffer ``b`` and takes ``b.T @ b``, to the bit; numpy
+    mirrors one triangle of it. A larger cloud is taken in blocks of
+    ``_SCATTER_BLOCK`` rows, each centred coordinate-major into one reused
+    (d, ``_SCATTER_BLOCK``) buffer, with the same subtractions. Each block
+    adds the dot product of coordinates r and k, ``q[r] @ q[k]``, to entry
+    (r, k) for r <= k, and the sums are mirrored, so the scatter is exactly
+    symmetric, as ``eigen_symmetric`` requires. The d(d + 1)/2 dot products
+    of a block cost a fraction of its rank-k product ``q.T @ q``. Each
+    entry, a sum of n rounded products, is within gamma_n = n eps / (1 - n
+    eps) of the exact sum relative to sqrt(S_rr S_kk), as any order of
+    adding them is, and typically nearer the exact sum than ``b.T @ b``. Its
+    last bits follow how the BLAS splits a long dot product, which may
+    depend on its thread count. The spread of the whole cloud must pass
+    ``_check_spread``; it is checked after the pass, which ignores the
+    overflow of a cloud that fails it.
     """
-    n = len(a)
-    spread = 0.0
+    n, dim = a.shape
     with np.errstate(over="ignore", invalid="ignore"):
         c = _centre(a)
-        q = np.empty((min(n, _SCATTER_BLOCK), a.shape[1]))
-        for i in range(0, n, _SCATTER_BLOCK):
-            block = _minus(a[i : i + _SCATTER_BLOCK], c, out=q[: n - i])
-            spread = max(spread, float(block.max()), -float(block.min()))
-            product = block.T @ block
-            if i:
-                scatter += product
-            else:
-                scatter = product
+        if n <= _SCATTER_BLOCK:
+            b = _minus(a, c, out=np.empty((n, dim)))
+            spread = max(float(b.max()), -float(b.min()))
+            scatter = b.T @ b
+        else:
+            spread = 0.0
+            sums = [[0.0] * dim for _ in range(dim)]
+            q = np.empty((dim, _SCATTER_BLOCK))
+            for i in range(0, n, _SCATTER_BLOCK):
+                rows = a[i : i + _SCATTER_BLOCK]
+                block = np.subtract(rows.T, c[:, None], out=q[:, : len(rows)])
+                spread = max(spread, float(block.max()), -float(block.min()))
+                for r in range(dim):
+                    for k in range(r, dim):
+                        sums[r][k] += float(block[r] @ block[k])
+            scatter = np.array([[sums[min(r, k)][max(r, k)] for k in range(dim)] for r in range(dim)])
     _check_spread(spread, a.size)
     return c, scatter
 

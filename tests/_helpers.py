@@ -96,6 +96,34 @@ def exact_line_distance(p, origin, u) -> float:
     return math.ldexp(math.sqrt(sq / 4**k), k)
 
 
+def _two_product(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``p = x * y`` rounded and its rounding error ``e``, so that
+    ``p + e == x * y`` exactly (Dekker's TwoProduct, with Veltkamp's split
+    of each factor into two halves of at most 26 significant bits). Exact
+    where nothing overflows or underflows."""
+    def split(v):
+        t = 134217729.0 * v  # 2**27 + 1
+        hi = t - (t - v)
+        return hi, v - hi
+
+    p = x * y
+    (xh, xl), (yh, yl) = split(x), split(y)
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
+def exact_scatter(b: np.ndarray) -> np.ndarray:
+    """The scatter matrix ``b.T @ b`` of the (n, d) floats ``b``, each entry
+    the correctly rounded exact sum: every product split exactly into two
+    floats, then ``math.fsum``."""
+    dim = b.shape[1]
+    columns = np.ascontiguousarray(b.T)
+    s = np.empty((dim, dim))
+    for r in range(dim):
+        for k in range(r, dim):
+            s[r, k] = s[k, r] = math.fsum(memoryview(np.concatenate(_two_product(columns[r], columns[k]))))
+    return s
+
+
 def _decimal_asin(x: Decimal) -> Decimal:
     """asin(x) for 0 <= x <= 0.75 by its Taylor series, to the context's precision."""
     total, previous, term, k = x, None, x, 0

@@ -111,6 +111,27 @@ class TestParseCloudCsv:
         cloud = parse_cloud_csv(text, delimiter=";")
         assert (cloud.points == [[1.5, 2.5]]).all()
 
+    @pytest.mark.parametrize("delimiter", ["", ";;", "\r", "\n", '"', "\r\n"])
+    def test_a_delimiter_is_one_character_other_than_a_quote_or_line_end(self, delimiter):
+        message = f"delimiter must be a single character other than '\"', CR and LF, not {delimiter!r}"
+        for parse in (parse_cloud_csv, parse_indicator_csv):
+            with pytest.raises(InvalidInputError) as raised:
+                parse(SAMPLE, delimiter=delimiter)
+            assert str(raised.value) == message
+
+    @pytest.mark.parametrize("cell", ["1_0", "1_000.5", "\u0661\u0662", "\uff11\uff12"])
+    def test_a_number_is_ascii_without_underscores_on_both_paths(self, cell):
+        """``float()`` takes these cells and ``np.loadtxt`` does not; the row
+        parser, which a quote anywhere in the input forces, agrees with it."""
+        message = f"row 3, column 'x': not a number: {cell!r}"
+        for header in ("x,y", '"x",y'):
+            text = f"{header}\n3,4\n{cell},2\n"
+            assert dataio._parse_cloud_bulk(text, None, None, ",") is None
+            for parse in (parse_cloud_csv, lambda t: dataio._parse_cloud_rows(t, None, None, ",")):
+                with pytest.raises(ParseError) as raised:
+                    parse(text)
+                assert str(raised.value) == message
+
 
 def _outcome(parse, *args):
     """What a parse gives: the points' bits and the labels, or the error."""
@@ -260,6 +281,17 @@ class TestIndicatorCsv:
     def test_schema_enforced(self):
         with pytest.raises(SchemaError):
             parse_indicator_csv("country,year,unemployment\nSK,1994,13.7\n")
+
+    @pytest.mark.parametrize("column", ["year", "gdp_change"])
+    @pytest.mark.parametrize("cell", ["1_995", "\u0661\u0669\u0669\u0665", "\uff11\uff19\uff19\uff15"])
+    @pytest.mark.parametrize("country", ["SK", '"SK"'])
+    def test_a_number_is_ascii_without_underscores(self, column, cell, country):
+        row = {"year": "1995", "gdp_change": "2"} | {column: cell}
+        text = ("country,year,unemployment,gdp_change,inflation\n"
+                f"SK,1994,1,2,3\n{country},{row['year']},1,{row['gdp_change']},4\n")
+        with pytest.raises(ParseError) as raised:
+            parse_indicator_csv(text)
+        assert str(raised.value) == f"row 3, column {column!r}: not a number: {cell!r}"
 
     def test_year_must_be_integer(self):
         bad = "country,year,unemployment,gdp_change,inflation\nSK,1994.5,1,2,3\n"

@@ -245,3 +245,10 @@ class TestIndicators:
         ind = economy_indicators([series_by_code()["SK"]])
         assert ind.pairwise_angles_deg.shape == (1, 1)
         assert ind.pairwise_angles_deg[0, 0] == 0.0
+
+    def test_a_repeated_country_code_is_invalid(self):
+        """The slopes are keyed by country code, so a repeated code would
+        give more planes than slopes."""
+        v4 = v4_dataset()
+        with pytest.raises(InvalidInputError, match=f"^{v4[0].country}: country code repeated$"):
+            economy_indicators(v4 + v4[:1])

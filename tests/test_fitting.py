@@ -39,6 +39,7 @@ from orthoreg.fitting import (
 from _helpers import (
     best_candidate_line_sum_sq,
     exact_line_distance,
+    exact_scatter,
     random_rotation,
     reference_line_distances,
     reference_plane_distances,
@@ -748,6 +749,38 @@ class TestScatterBlocks:
                 with pytest.raises(InvalidInputError) as raised:
                     fit(PointCloud(points))
                 assert str(raised.value) == message
+
+
+class TestExactScatter:
+    """Beyond ``_SCATTER_BLOCK`` points, the scatter pass against the exact
+    scatter matrix of the same centred floats (``_helpers.exact_scatter``)."""
+
+    @pytest.mark.parametrize("n, dims", [(_SCATTER_BLOCK + 1, (1, 2, 3, 9)),
+                                         (2 * _SCATTER_BLOCK + 1, (1, 2, 3, 5)),
+                                         (3 * _SCATTER_BLOCK + 5, (1, 2, 3))])
+    def test_each_entry_is_within_gamma_n_of_the_exact_sum(self, n, dims):
+        """Any order of adding the n products of an entry, each rounded once,
+        is within gamma_n = n eps / (1 - n eps) of the exact sum relative to
+        the sum of the products' moduli (Higham, Accuracy and Stability of
+        Numerical Algorithms, 3.1), eps = 2**-53; by Cauchy-Schwarz that sum
+        is at most sqrt(S_rr S_kk). The reference rounds each entry once, and
+        sqrt(S_rr) sqrt(S_kk) formed from its rounded diagonal is within four
+        more roundings, so each entry is allowed gamma_(n+5) sqrt(S_rr S_kk)
+        (Higham, lemma 3.3).
+        The points lie up to 1e8 from the origin, and the scatter must be
+        exactly symmetric."""
+        rng = np.random.default_rng(n)
+        for dim in dims:
+            offset = rng.choice([-1.0, 1.0], dim) * 10.0 ** rng.uniform(6, 8, dim)
+            points = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-1, 1, dim) + offset
+            cloud = PointCloud(points)
+            s = scatter_matrix(cloud)
+            assert (s == s.T).all(), dim
+            exact = exact_scatter(points - centroid(cloud))
+            root = np.sqrt(np.diag(exact))
+            m = n + 5
+            gamma = m * 2.0**-53 / (1.0 - m * 2.0**-53)
+            assert (np.abs(s - exact) <= gamma * np.multiply.outer(root, root)).all(), dim
 
 
 class TestResidualMemory:

@@ -690,6 +690,22 @@ class TestCliExitCodes:
         assert captured.out == ""
         assert "delimiter must be a single character" in captured.err
 
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    @pytest.mark.parametrize("delimiter", ["\r", "\n", '"', ";;"])
+    def test_delimiter_quote_or_line_end_is_2(self, five_csv, capsys, command, delimiter):
+        """The delimiter rule of ``dataio.check_delimiter``, as a usage
+        error: one ``error:`` line."""
+        argv = [command, "--input", five_csv, "--delimiter", delimiter]
+        if command == "fit":
+            argv += ["--geometry", "line"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: argument --delimiter: delimiter must be a single character other than "
+            f"'\"', CR and LF, not {delimiter!r}\n"
+        )
+
 
 class TestCliAllOrNothing:
     """A failing command leaves stdout empty and writes no file or directory."""

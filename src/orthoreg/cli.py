@@ -46,6 +46,7 @@ import numpy as np
 
 from . import __version__
 from .dataio import (
+    INDICATOR_FIELDS,
     check_delimiter,
     format_cloud_csv,
     format_indicator_csv,
@@ -206,9 +207,7 @@ def _delimiter_arg(text: str) -> str:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _columns_arg(text: str | None):
-    if text is None:
-        return None
+def _columns_arg(text: str):
     parts = tuple(p.strip() for p in text.split(",") if p.strip())
     if not parts:
         raise argparse.ArgumentTypeError("empty column list")
@@ -301,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eco.add_argument(
         "--data", default=None,
-        help="external indicator CSV (schema: country,year,unemployment,gdp_change,inflation)",
+        help=f"external indicator CSV (schema: {','.join(INDICATOR_FIELDS)})",
     )
     p_eco.add_argument(
         "--dump-data", action="store_true",

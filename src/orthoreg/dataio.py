@@ -29,14 +29,15 @@ from __future__ import annotations
 import csv
 import io
 import math
+from itertools import chain
 
 import numpy as np
 
-from .economy import IndicatorSeries
+from .economy import STATE_VARIABLES, IndicatorSeries
 from .errors import InvalidInputError, ParseError, SchemaError
-from .fitting import PointCloud
+from .fitting import PointCloud, point_labels
 
-INDICATOR_FIELDS = ("country", "year", "unemployment", "gdp_change", "inflation")
+INDICATOR_FIELDS = ("country", "year", *STATE_VARIABLES)
 
 
 def _source_text(source) -> str:
@@ -200,36 +201,36 @@ def _parse_cloud_rows(text: str, columns, label_column, delimiter: str) -> Point
     return PointCloud(points, labels=tuple(labels) if labels is not None else None)
 
 
+def _csv_text(rows) -> str:
+    """The rows of the iterable ``rows`` as CSV with LF line ends, written
+    as they are drawn, so no list of the rows is built."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def format_cloud_csv(cloud: PointCloud, column_names, label_name=None) -> str:
     """Write a cloud as CSV with full-precision floats.
 
-    With ``label_name`` the first column holds the cloud's labels, or the
-    point indices when it has none.
+    With ``label_name`` the first column holds the cloud's ``point_labels``.
     """
     column_names = list(column_names)
     if len(column_names) != cloud.dim:
         raise InvalidInputError("one column name per coordinate is required")
     columns = [map(float.__repr__, column) for column in cloud.points.T.tolist()]
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    if label_name is not None:
-        writer.writerow([label_name, *column_names])
-        writer.writerows(zip(cloud.labels or map(str, range(len(cloud))), *columns))
-    else:
-        writer.writerow(column_names)
-        writer.writerows(zip(*columns))
-    return out.getvalue()
+    if label_name is None:
+        return _csv_text(chain([column_names], zip(*columns)))
+    return _csv_text(chain([[label_name, *column_names]], zip(point_labels(cloud), *columns)))
 
 
 def format_indicator_csv(series_list) -> str:
     """Write indicator series in the long table schema INDICATOR_FIELDS."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(INDICATOR_FIELDS)
-    for s in series_list:
-        for year, u, g, i in zip(s.years, s.unemployment, s.gdp_change, s.inflation):
-            writer.writerow([s.country, year, repr(float(u)), repr(float(g)), repr(float(i))])
-    return out.getvalue()
+    rows = (
+        (s.country, year, *map(repr, values))
+        for s in series_list
+        for year, *values in zip(s.years, *(getattr(s, v) for v in STATE_VARIABLES))
+    )
+    return _csv_text(chain([INDICATOR_FIELDS], rows))
 
 
 def parse_indicator_csv(source, delimiter: str = ",") -> list[IndicatorSeries]:

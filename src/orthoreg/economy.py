@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, InvalidInputError, float_array
+from .errors import InvalidInputError, OrthoregError, float_array
 from .fitting import (
     DEFAULT_ERROR_METRIC,
     FittedHyperplane,
@@ -45,28 +45,33 @@ COORDINATE_PLANES = (
 
 _V4_YEARS = tuple(range(1994, 2001))
 
-# Annual indicator values, percent. Rows follow the year order above.
-_V4_UNEMPLOYMENT = {
-    "CZ": (3.2, 2.9, 3.5, 5.2, 7.5, 9.4, 8.7),
-    "HU": (11.2, 10.5, 9.2, 7.7, 7.0, 6.5, 6.5),
-    "PL": (16.0, 14.9, 13.5, 10.5, 10.4, 13.0, 13.5),
-    "SK": (13.7, 13.1, 11.3, 11.8, 12.5, 16.2, 18.5),
-}
-_V4_GDP_CHANGE = {
-    "CZ": (2.2, 5.9, 4.8, -0.1, -2.2, -0.2, 2.5),
-    "HU": (2.9, 1.5, 1.3, 4.4, 5.1, 4.5, 5.6),
-    "PL": (5.2, 7.0, 6.0, 6.8, 4.8, 4.1, 5.0),
-    "SK": (4.8, 6.7, 6.2, 6.2, 4.1, 1.9, 2.0),
-}
-_V4_INFLATION = {
-    "CZ": (10.0, 9.1, 8.8, 8.5, 10.7, 2.1, 4.1),
-    "HU": (18.8, 28.2, 23.6, 18.3, 14.3, 10.0, 9.3),
-    "PL": (33.2, 28.0, 19.9, 14.8, 11.6, 7.3, 9.9),
-    "SK": (13.4, 9.9, 5.8, 6.1, 6.7, 10.6, 11.5),
+# Annual indicator values, percent: per country one row per state variable,
+# in STATE_VARIABLES order, each in the year order above.
+_V4_DATA = {
+    "CZ": (
+        (3.2, 2.9, 3.5, 5.2, 7.5, 9.4, 8.7),
+        (2.2, 5.9, 4.8, -0.1, -2.2, -0.2, 2.5),
+        (10.0, 9.1, 8.8, 8.5, 10.7, 2.1, 4.1),
+    ),
+    "HU": (
+        (11.2, 10.5, 9.2, 7.7, 7.0, 6.5, 6.5),
+        (2.9, 1.5, 1.3, 4.4, 5.1, 4.5, 5.6),
+        (18.8, 28.2, 23.6, 18.3, 14.3, 10.0, 9.3),
+    ),
+    "PL": (
+        (16.0, 14.9, 13.5, 10.5, 10.4, 13.0, 13.5),
+        (5.2, 7.0, 6.0, 6.8, 4.8, 4.1, 5.0),
+        (33.2, 28.0, 19.9, 14.8, 11.6, 7.3, 9.9),
+    ),
+    "SK": (
+        (13.7, 13.1, 11.3, 11.8, 12.5, 16.2, 18.5),
+        (4.8, 6.7, 6.2, 6.2, 4.1, 1.9, 2.0),
+        (13.4, 9.9, 5.8, 6.1, 6.7, 10.6, 11.5),
+    ),
 }
 
 #: Dataset order of v4_dataset().
-V4_COUNTRIES = ("CZ", "HU", "PL", "SK")
+V4_COUNTRIES = tuple(_V4_DATA)
 
 #: Row order used by the plane-indicator reports.
 V4_REPORT_ORDER = ("SK", "PL", "CZ", "HU")
@@ -94,7 +99,7 @@ class IndicatorSeries:
             raise InvalidInputError(message)
         years = tuple(map(int, years))
         values = {}
-        for field in ("unemployment", "gdp_change", "inflation"):
+        for field in STATE_VARIABLES:
             message = f"{field} length must match years"
             values[field] = tuple(float_array(getattr(self, field), (len(years),), message).tolist())
         if len(set(years)) != len(years):
@@ -138,25 +143,15 @@ class EconomyIndicators:
 
 def v4_dataset() -> list[IndicatorSeries]:
     """The embedded V4 dataset, 1994-2000, in CZ, HU, PL, SK order."""
-    return [
-        IndicatorSeries(
-            country=code,
-            years=_V4_YEARS,
-            unemployment=_V4_UNEMPLOYMENT[code],
-            gdp_change=_V4_GDP_CHANGE[code],
-            inflation=_V4_INFLATION[code],
-        )
-        for code in V4_COUNTRIES
-    ]
+    return [IndicatorSeries(code, _V4_YEARS, *columns) for code, columns in _V4_DATA.items()]
 
 
 def trajectory(series: IndicatorSeries) -> PointCloud:
     """Phase trajectory of a series: one labeled 3D point per year."""
     if len(series) == 0:
         raise InvalidInputError("series has no years")
-    return PointCloud.from_columns(
-        series.unemployment, series.gdp_change, series.inflation, labels=series.years
-    )
+    columns = (getattr(series, variable) for variable in STATE_VARIABLES)
+    return PointCloud.from_columns(*columns, labels=series.years)
 
 
 def economy_plane(series: IndicatorSeries, metric: str = DEFAULT_ERROR_METRIC) -> EconomyPlane:
@@ -168,10 +163,9 @@ def economy_plane(series: IndicatorSeries, metric: str = DEFAULT_ERROR_METRIC) -
     cloud = trajectory(series)
     try:
         plane = fit_hyperplane(cloud)
-    except DegenerateGeometryError as exc:
-        raise DegenerateGeometryError(
-            f"{series.country}: {exc}", exc.flat_dim, exc.flat_point, exc.flat_basis
-        ) from None
+    except OrthoregError as exc:  # same class and fields, the message names the country
+        exc.args = (f"{series.country}: {exc}",)
+        raise
     distances = plane.error.per_point_distance
     yearly = {year: float(d) for year, d in zip(series.years, distances)}
     return EconomyPlane(

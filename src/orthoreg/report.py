@@ -10,14 +10,14 @@ from a dict per point.
 JSON and CSV write floats with ``repr`` (shortest round-tripping decimal
 form), so re-reading a report reproduces every numeric field exactly. The
 text format rounds to 4 decimals for reading, matching the precision of the
-reference tables. No serialization embeds timestamps: identical inputs give
-identical bytes.
+reference tables. No serialization embeds timestamps: on one host, with one
+BLAS thread count, identical inputs give identical bytes. A cloud of more
+than 10000 points may not keep its last bits across thread counts, as the
+BLAS may split its long dot products across threads.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -25,6 +25,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
+from .dataio import _csv_text
 from .economy import COORDINATE_PLANES, EconomyIndicators, EconomyPlane
 from .eigen import eigen_symmetric
 from .errors import InvalidInputError
@@ -35,6 +36,7 @@ from .fitting import (
     FittedLine,
     PointCloud,
     ResidualStats,
+    point_labels,
     scatter_matrix,
 )
 from .regression import ComparisonReport
@@ -65,10 +67,6 @@ class FitReport:
     def per_point(self) -> tuple[tuple[str, float], ...]:
         """The (label, distance) pairs."""
         return tuple(zip(self.labels, self.model.error.per_point_distance.tolist()))
-
-
-def point_labels(cloud: PointCloud) -> tuple[str, ...]:
-    return cloud.labels or tuple(str(i) for i in range(len(cloud)))
 
 
 def build_fit_report(cloud: PointCloud, model, metric: str, metadata: dict) -> FitReport:
@@ -162,12 +160,6 @@ def _to_json(data: dict, points=None) -> str:
     return "".join((head, '"per_point": [\n', ",\n".join(items), "\n  ]", tail))
 
 
-def _kv_rows(pairs) -> str:
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(pairs)
-    return out.getvalue()
-
-
 def _flatten(prefix: str, data, pairs: list) -> None:
     if isinstance(data, dict):
         for key, value in data.items():
@@ -186,7 +178,7 @@ def _to_kv_csv(data: dict, points=None) -> str:
     distances) are the rows of ``data``'s empty ``per_point`` list."""
     joined = "".join(points[0]) if points else ""
     if any(c in joined for c in ',"\r\n'):
-        # csv.writer may quote such a label: let it write every point row.
+        # The csv writer may quote such a label: let it write every point row.
         data = {**data, "per_point": [{"label": lab, "distance": d} for lab, d in zip(*points)]}
         points = None
     pairs: list = [("key", "value")]
@@ -196,10 +188,10 @@ def _to_kv_csv(data: dict, points=None) -> str:
             split = len(pairs)
         _flatten(key, value, pairs)
     if points is None:
-        return _kv_rows(pairs)
+        return _csv_text(pairs)
     labels, distances = points
     rows = map(_CSV_POINT.format, range(len(labels)), labels, map(float.__repr__, distances))
-    return "".join((_kv_rows(pairs[:split]), "".join(rows), _kv_rows(pairs[split:])))
+    return "".join((_csv_text(pairs[:split]), "".join(rows), _csv_text(pairs[split:])))
 
 
 def _render(output_format: str, data: dict, text, csv=None, points=None) -> str:
@@ -340,7 +332,7 @@ def _economy_csv(data: dict) -> str:
     rows += [[c, *reprs(row)] for c, row in zip(countries, data["pairwise_angles_deg"])]
     rows += [[], ["country", *_SLOPE_NAMES]]
     rows += [[c, *reprs(data["slopes_deg"][c].values())] for c in countries]
-    return _kv_rows(rows)
+    return _csv_text(rows)
 
 
 def _economy_text(data: dict) -> str:

@@ -127,20 +127,6 @@ class _Frame:
         return (ax + t_lo * dx, ay + t_lo * dy), (ax + t_hi * dx, ay + t_hi * dy)
 
 
-def _header(title: str) -> list[str]:
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS_W}" height="{CANVAS_H}" '
-        f'viewBox="0 0 {CANVAS_W} {CANVAS_H}" font-family="sans-serif">',
-        f'<rect width="{CANVAS_W}" height="{CANVAS_H}" fill="#ffffff"/>',
-    ]
-    if title:
-        parts.append(
-            f'<text class="title" x="{CANVAS_W // 2}" y="20" text-anchor="middle" '
-            f'font-size="14">{_escape(title)}</text>'
-        )
-    return parts
-
-
 def _axes(frame: _Frame, x_label: str, y_label: str) -> list[str]:
     parts = [
         f'<rect class="frame" x="{frame.px_lo}" y="{frame.py_hi}" '
@@ -183,9 +169,22 @@ def _axes(frame: _Frame, x_label: str, y_label: str) -> list[str]:
     return parts
 
 
-def _legend(frame: _Frame, entries) -> list[str]:
-    parts = []
-    for i, (name, color) in enumerate(entries):
+def _document(frame: _Frame, title: str, x_label: str, y_label: str, body, legend) -> str:
+    """The SVG document: canvas, title, axes, the elements ``body``, and a
+    legend of (name, color) entries."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS_W}" height="{CANVAS_H}" '
+        f'viewBox="0 0 {CANVAS_W} {CANVAS_H}" font-family="sans-serif">',
+        f'<rect width="{CANVAS_W}" height="{CANVAS_H}" fill="#ffffff"/>',
+    ]
+    if title:
+        parts.append(
+            f'<text class="title" x="{CANVAS_W // 2}" y="20" text-anchor="middle" '
+            f'font-size="14">{_escape(title)}</text>'
+        )
+    parts += _axes(frame, x_label, y_label)
+    parts += body
+    for i, (name, color) in enumerate(legend):
         y = frame.py_hi + 16 + 16 * i
         x = frame.px_lo + 10
         parts.append(
@@ -195,7 +194,8 @@ def _legend(frame: _Frame, entries) -> list[str]:
         parts.append(
             f'<text class="legend" x="{x + 28}" y="{y}" font-size="12">{_escape(name)}</text>'
         )
-    return parts
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def scatter_chart(points, lines=(), title: str = "", x_label: str = "", y_label: str = "") -> str:
@@ -209,8 +209,7 @@ def scatter_chart(points, lines=(), title: str = "", x_label: str = "", y_label:
     if pts.shape[0] < 1:
         raise InvalidInputError(message)
     frame = _Frame.around(pts[:, 0], pts[:, 1])
-    parts = _header(title)
-    parts += _axes(frame, x_label, y_label)
+    body = []
     legend = []
     for i, (name, anchor, direction) in enumerate(lines):
         segment = frame.clip_line(anchor, direction)
@@ -218,20 +217,18 @@ def scatter_chart(points, lines=(), title: str = "", x_label: str = "", y_label:
         if segment is None:
             continue
         (x1, y1), (x2, y2) = segment
-        parts.append(
+        body.append(
             f'<line class="fit-line" x1="{_fmt(frame.px(x1))}" y1="{_fmt(frame.py(y1))}" '
             f'x2="{_fmt(frame.px(x2))}" y2="{_fmt(frame.py(y2))}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
         legend.append((name, color))
     for x, y in pts:
-        parts.append(
+        body.append(
             f'<circle class="point" cx="{_fmt(frame.px(x))}" cy="{_fmt(frame.py(y))}" '
             f'r="4" fill="#333333"/>'
         )
-    parts += _legend(frame, legend)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _document(frame, title, x_label, y_label, body, legend)
 
 
 def polyline_chart(series, title: str = "", x_label: str = "", y_label: str = "") -> str:
@@ -249,25 +246,22 @@ def polyline_chart(series, title: str = "", x_label: str = "", y_label: str = ""
     if not checked:
         raise InvalidInputError("polyline_chart needs at least one series")
     frame = _Frame.around(*np.concatenate([xy for _, xy in checked], axis=1))
-    parts = _header(title)
-    parts += _axes(frame, x_label, y_label)
+    body = []
     legend = []
     for i, (name, (xs, vals)) in enumerate(checked):
         color = PALETTE[i % len(PALETTE)]
         coords = " ".join(f"{_fmt(frame.px(x))},{_fmt(frame.py(y))}" for x, y in zip(xs, vals))
-        parts.append(
+        body.append(
             f'<polyline class="series" points="{coords}" fill="none" '
             f'stroke="{color}" stroke-width="2"/>'
         )
         for x, y in zip(xs, vals):
-            parts.append(
+            body.append(
                 f'<circle class="series-point" cx="{_fmt(frame.px(x))}" '
                 f'cy="{_fmt(frame.py(y))}" r="3" fill="{color}"/>'
             )
         legend.append((name, color))
-    parts += _legend(frame, legend)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _document(frame, title, x_label, y_label, body, legend)
 
 
 __all__ = ["scatter_chart", "polyline_chart", "nice_ticks", "CANVAS_W", "CANVAS_H", "PALETTE"]

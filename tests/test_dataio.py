@@ -48,6 +48,16 @@ class TestParseCloudCsv:
         cloud = parse_cloud_csv(b"\xef\xbb\xbf" + SAMPLE.encode("utf-8"), columns=("year", "u"))
         assert (cloud.points[0] == [1994.0, 13.7]).all()
 
+    def test_text_file_object(self):
+        cloud = parse_cloud_csv(io.StringIO(SAMPLE), columns=("year", "u"))
+        assert (cloud.points == [[1994.0, 13.7], [1995.0, 13.1]]).all()
+
+    def test_binary_file_object_like_its_bytes(self):
+        data = b"\xef\xbb\xbf" + SAMPLE.replace("\n", "\r\n").encode("utf-8")
+        cloud = parse_cloud_csv(io.BytesIO(data), label_column="year")
+        assert (cloud.points == [[13.7, 4.8, 13.4], [13.1, 6.7, 9.9]]).all()
+        assert cloud.labels == ("1994", "1995")
+
     def test_str_with_byte_order_mark(self):
         cloud = parse_cloud_csv("\ufeff" + SAMPLE, columns=("year", "u"))
         assert (cloud.points[0] == [1994.0, 13.7]).all()
@@ -270,6 +280,14 @@ class TestCloudCsvRoundTrip:
         back = parse_cloud_csv(text, columns=("x", "y", "z"), label_column="t")
         assert (back.points == cloud.points).all()
         assert back.labels == cloud.labels
+
+    @pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z", "w")])
+    def test_one_column_name_per_coordinate(self, names):
+        cloud = PointCloud([[1.0, 2.0, 3.0]])
+        with pytest.raises(InvalidInputError, match="one column name per coordinate"):
+            format_cloud_csv(cloud, names)
+        with pytest.raises(InvalidInputError, match="one column name per coordinate"):
+            format_cloud_csv(cloud, names, label_name="i")
 
 
 class TestIndicatorCsv:

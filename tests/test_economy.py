@@ -129,6 +129,12 @@ class TestEconomyPlane:
         assert same_up_to_sign(info.value.flat_basis[0], np.array([1.0, 2.0, 3.0]) / math.sqrt(14),
                                1e-12)
 
+    def test_spread_error_names_the_country(self):
+        wide = IndicatorSeries("SK", (1, 2, 3, 4), (1e200, -1e200, 3.0, 1.0),
+                               (1.0, 2.0, 4.0, 3.0), (2.0, 1.0, 5.0, 4.0))
+        with pytest.raises(InvalidInputError, match=r"^SK: points spread 1e\+200 about"):
+            economy_plane(wide)
+
     def test_year_order_independence_is_bitwise(self):
         s = series_by_code()["SK"]
         shuffled = IndicatorSeries(

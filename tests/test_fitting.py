@@ -405,6 +405,13 @@ class TestDistances:
         with pytest.raises(InvalidInputError):
             distance_point_to_line([1.0, 2.0, 3.0], line)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, five_points_cloud, bad):
+        line, plane = fit_line(five_points_cloud), fit_hyperplane(five_points_cloud)
+        for distance, flat in ((distance_point_to_line, line), (distance_point_to_plane, plane)):
+            with pytest.raises(InvalidInputError, match=f"^{distance.__name__}: coordinates"):
+                distance([1.0, bad], flat)
+
     def test_line_distance_is_the_residual_bits(self):
         rng = np.random.default_rng(31)
         for _ in range(200):

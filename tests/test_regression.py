@@ -87,6 +87,10 @@ class TestCompare:
         assert (report.centroid == [4.0, 5.0]).all()
         assert report.tls_between_scissors is True
 
+    def test_one_point_rejected(self):
+        with pytest.raises(InvalidInputError, match="^need at least 2 points$"):
+            compare_ols_tls([1.0], [2.0])
+
     def test_collinear_all_lines_coincide(self):
         x = np.array([0.0, 1.0, 2.0, 3.0])
         y = 2.0 * x + 1.0

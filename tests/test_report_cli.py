@@ -37,7 +37,7 @@ from orthoreg.report import (
     report_from_dict,
     report_to_dict,
 )
-from orthoreg.svg import PALETTE, _escape, nice_ticks, scatter_chart
+from orthoreg.svg import PALETTE, _escape, _Frame, nice_ticks, scatter_chart
 
 FIVE_CSV = "x,y\n1,4\n3,2\n4,6\n5,8\n7,5\n"
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -235,6 +235,23 @@ class TestSvg:
         with pytest.raises(InvalidInputError):
             scatter_chart(np.empty((0, 2)))
 
+    def test_clip_line(self):
+        frame = _Frame(0.0, 10.0, 0.0, 10.0)
+        # Falling lines: the bounds of t along one axis come in reverse order.
+        assert frame.clip_line((5.0, 5.0), (1.0, -1.0)) == ((0.0, 10.0), (10.0, 0.0))
+        assert frame.clip_line((5.0, 5.0), (-1.0, 1.0)) == ((10.0, 0.0), (0.0, 10.0))
+        assert frame.clip_line((5.0, 2.0), (1.0, 0.0)) == ((0.0, 2.0), (10.0, 2.0))
+        assert frame.clip_line((5.0, 20.0), (1.0, 0.0)) is None  # above, along x
+        assert frame.clip_line((-3.0, 5.0), (0.0, 1.0)) is None  # left, along y
+        assert frame.clip_line((20.0, 0.0), (1.0, 1.0)) is None  # passes the corner
+
+    def test_a_line_that_misses_the_frame_is_left_out(self):
+        lines = [("missed", (100.0, 0.0), (1.0, 1.0)), ("diagonal", (0.0, 0.0), (1.0, 1.0))]
+        svg = scatter_chart([[0.0, 0.0], [1.0, 1.0]], lines)
+        (drawn,) = svg_elements(svg, "line", "fit-line")
+        assert drawn.get("stroke") == PALETTE[1]
+        assert [el.text for el in svg_elements(svg, "text", "legend")] == ["diagonal"]
+
     @given(st.text())
     def test_escape_matches_saxutils(self, text):
         assert _escape(text) == escape(text)
@@ -347,6 +364,20 @@ class TestCliContract:
         assert payload["conjugate"]["intercept"] == pytest.approx(1.75, abs=1e-12)
         assert payload["tls_between_scissors"] is True
 
+    def test_compare_text_says_whether_the_orthogonal_line_is_inside(self, five_csv, capsys):
+        assert main(["compare", "--input", five_csv, "--format", "text"]) == 0
+        text = capsys.readouterr().out
+        assert text.splitlines()[-1] == "orthogonal line inside the scissors: True"
+
+    def test_compare_needs_two_columns(self, tmp_path, five_csv, capsys):
+        assert main(["compare", "--input", five_csv, "--columns", "x"]) == 2
+        assert capsys.readouterr() == ("", "error: compare needs exactly two columns\n")
+        data = tmp_path / "three.csv"
+        data.write_text("x,y,z\n1,4,0\n3,2,1\n4,6,5\n", encoding="utf-8")
+        assert main(["compare", "--input", str(data)]) == 3
+        expected = "error: comparison needs exactly 2 coordinate columns, got 3\n"
+        assert capsys.readouterr() == ("", expected)
+
     def test_economy_row_order(self, capsys):
         assert main(["economy"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -382,6 +413,31 @@ class TestCliContract:
         direction = np.asarray(payload["model"]["direction"])
         truth = np.ones(3) / np.sqrt(3)
         assert abs(abs(float(direction @ truth)) - 1.0) < 1e-4
+
+    def test_economy_fit_error_names_the_country(self, tmp_path, capsys):
+        data = tmp_path / "wide.csv"
+        rows = ("SK,1,1e200,1,2", "SK,2,-1e200,2,1", "SK,3,3,4,5", "SK,4,1,3,4")
+        data.write_text("\n".join(["country,year,unemployment,gdp_change,inflation", *rows]),
+                        encoding="utf-8")
+        assert main(["economy", "--data", str(data)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: SK: points spread 1e+200 about their centroid")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_gen_bumblebee_to_stdout(self, tmp_path, capsys):
+        argv = ["gen-bumblebee", "--start", "0,0,0", "--end", "1,2,3", "--n", "5",
+                "--sigma", "0.1", "--seed", "7"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = out.splitlines()
+        assert rows[0] == "i,x,y,z"
+        assert [row.split(",")[0] for row in rows[1:]] == ["0", "1", "2", "3", "4"]
+        path = tmp_path / "bee.csv"
+        assert main([*argv, "--output", str(path)]) == 0
+        capsys.readouterr()
+        assert path.read_text(encoding="utf-8") == out
 
     def test_plot_files_written(self, tmp_path, five_csv, monkeypatch, capsys):
         monkeypatch.setenv("ORTHOREG_OUTPUT_DIR", str(tmp_path / "plots"))

@@ -36,6 +36,17 @@ class TestSpecValidation:
         with pytest.raises(InvalidInputError):
             reference_spec(end=np.zeros(3))
 
+    @pytest.mark.parametrize("field", ["start", "end"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_endpoint_rejected(self, field, bad):
+        with pytest.raises(InvalidInputError, match="^start and end must be finite$"):
+            reference_spec(**{field: np.array([1.0, bad, 2.0])})
+
+    def test_negative_normal_count_rejected(self):
+        with pytest.raises(InvalidInputError, match="^count must be nonnegative$"):
+            standard_normals(-1, 0)
+        assert standard_normals(0, 0).shape == (0,)
+
     def test_negative_sigma_rejected(self):
         with pytest.raises(InvalidInputError):
             reference_spec(sigma=-0.1)

@@ -17,7 +17,8 @@ Exit codes: 0 success, 2 usage errors from argparse, else the ``exit_code``
 of the ``errors`` class raised; any other exception propagates. Reports go
 to stdout; plot and scene files go to --output-dir (or $ORTHOREG_OUTPUT_DIR,
 default "."), with their paths announced on stderr so stdout stays
-machine-readable. Each command builds its whole report and every file before
+machine-readable; --output-dir without --plot is a usage error, as is
+--plot with economy --dump-data. Each command builds its whole report and every file before
 anything is written: on success the files are written first (parent
 directories created), then the report. A command that fails writes nothing.
 Files are written all or none: each goes to a temporary sibling, renamed
@@ -166,6 +167,14 @@ def emit_plot_svg(report, projection: tuple[int, int] | None = None) -> str:
 
 def _output_dir(args) -> Path:
     return Path(args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or ".")
+
+
+def _plot_only(args, *flags: str) -> None:
+    """``--output-dir`` and the named ``flags`` shape only plot files: each
+    of them without ``--plot`` is a usage error, not a flag silently ignored."""
+    for flag in (*flags, "output_dir"):
+        if getattr(args, flag) is not None and not args.plot:
+            raise UsageError(f"--{flag.replace('_', '-')} applies only with --plot")
 
 
 def _write_files(files) -> None:
@@ -321,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_fit(args):
     # The metadata keys and their order are part of the json and csv output.
-    if args.projection is not None and not args.plot:
-        raise UsageError("--projection applies only with --plot")
+    _plot_only(args, "projection")
     if args.input == BUILTIN_V4:
         if (args.columns, args.label_column, args.delimiter) != (None, None, None):
             raise UsageError(
@@ -349,6 +357,7 @@ def _cmd_fit(args):
 
 
 def _cmd_compare(args):
+    _plot_only(args)
     if args.columns is not None and len(args.columns) != 2:
         raise UsageError("compare needs exactly two columns")
     cloud = _read_cloud(args)
@@ -365,6 +374,9 @@ def _cmd_compare(args):
 
 
 def _cmd_economy(args):
+    _plot_only(args)
+    if args.dump_data and args.plot:
+        raise UsageError("--plot does not apply to --dump-data")
     if args.data is not None:
         series_list = parse_indicator_csv(_read_bytes(args.data))
         provenance = args.data
@@ -436,7 +448,7 @@ def main(argv=None) -> int:
     parser, unless something is frozen already. What is alive then (numpy,
     orthoreg and the modules they import) goes to the permanent generation,
     so the full collections at interpreter shutdown skip it (see README,
-    "Where a small CLI run spends its time"). Later calls freeze nothing: a
+    "Where the time and memory go"). Later calls freeze nothing: a
     command's subparsers are garbage in cycles, and a freeze on each call
     would keep every earlier call's parsers alive.
     """

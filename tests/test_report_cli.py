@@ -784,6 +784,50 @@ class TestCliAllOrNothing:
         assert "invalid projection (0, 5) for dim 2" in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "--input", "FIVE", "--geometry", "line", "--output-dir", "out"],
+         "--output-dir applies only with --plot"),
+        (["fit", "--input", "builtin:v4", "--country", "SK", "--geometry", "plane",
+          "--output-dir", "out"], "--output-dir applies only with --plot"),
+        (["compare", "--input", "FIVE", "--output-dir", "out"],
+         "--output-dir applies only with --plot"),
+        (["economy", "--output-dir", "out"], "--output-dir applies only with --plot"),
+        (["economy", "--dump-data", "--output-dir", "out"],
+         "--output-dir applies only with --plot"),
+        (["economy", "--dump-data", "--plot"], "--plot does not apply to --dump-data"),
+        (["economy", "--dump-data", "--plot", "--output-dir", "out"],
+         "--plot does not apply to --dump-data"),
+    ], ids=["fit-csv", "fit-builtin", "compare", "economy", "economy-dump-output-dir",
+            "economy-dump-plot", "economy-dump-plot-output-dir"])
+    def test_plot_flags_without_a_plot_are_2(self, tmp_path, five_csv, monkeypatch, capsys,
+                                             argv, message):
+        """A flag that shapes only plot files, given where no plot is drawn,
+        is one usage error line, with nothing on stdout and nothing written."""
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.delenv("ORTHOREG_OUTPUT_DIR", raising=False)
+        assert main([five_csv if a == "FIVE" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, names", [
+        (["fit", "--input", "FIVE", "--geometry", "line"], ["fit_line.svg"]),
+        (["compare", "--input", "FIVE"], ["compare.svg"]),
+        (["economy"], sorted([f"economy_{v}.svg" for v in STATE_VARIABLES]
+                             + [f"scene_{c}.json" for c in ("CZ", "HU", "PL", "SK")])),
+    ], ids=["fit", "compare", "economy"])
+    def test_plot_with_output_dir_writes_its_files(self, tmp_path, five_csv, capsys, argv, names):
+        out = tmp_path / "out" / "sub"
+        argv = [five_csv if a == "FIVE" else a for a in argv]
+        assert main([*argv, "--plot", "--output-dir", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out != ""
+        assert sorted(p.name for p in out.iterdir()) == names
+        assert sorted(captured.err.splitlines()) == [f"wrote {out / name}" for name in names]
+
     def test_write_failure_is_2(self, tmp_path, five_csv, capsys):
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("", encoding="utf-8")

@@ -17,10 +17,10 @@ Exit codes: 0 success, 2 usage errors from argparse, else the ``exit_code``
 of the ``errors`` class raised; any other exception propagates. Reports go
 to stdout; plot and scene files go to --output-dir (or $ORTHOREG_OUTPUT_DIR,
 default "."), with their paths announced on stderr so stdout stays
-machine-readable; --output-dir without --plot is a usage error, as is
---plot with economy --dump-data. Each command builds its whole report and every file before
-anything is written: on success the files are written first (parent
-directories created), then the report. A command that fails writes nothing.
+machine-readable. --output-dir without --plot is a usage error, as is --plot
+with economy --dump-data. Each command builds its whole report and every
+file before anything is written: on success the files are written first
+(parent directories created), then the report. A command that fails writes nothing.
 Files are written all or none: each goes to a temporary sibling, renamed
 into place once all are written, so a file that cannot be written leaves
 stdout empty and no output file behind.

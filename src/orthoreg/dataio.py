@@ -3,8 +3,17 @@
 Input files are delimiter-separated values with a required header row,
 "." as the decimal separator, UTF-8 encoded. Text, bytes and file objects
 are read alike: one leading byte-order mark is dropped, and CRLF and bare CR
-line ends read as LF (universal newlines). Floats are written with ``repr``,
-which round-trips exactly.
+line ends read as LF (universal newlines), also inside a quoted cell, so a
+CR in a cell reads back as LF. Floats are written with ``repr``, which
+round-trips exactly.
+
+Output is written a column at a time: ``_table`` %-formats a whole table
+from its columns in one call, with no Python-level call per row, so a large
+table costs little more than the ``repr`` of its floats. One rule quotes a
+cell (``_csv_cell``): a cell that holds a comma, a quote, LF or CR is
+quoted, with its quotes doubled, as RFC 4180 asks. ``_csv_column`` applies
+it to a column of labels cell by cell only when some label needs it; a
+float never does.
 
 ``parse_cloud_csv`` first parses the data rows with one ``np.loadtxt`` call.
 It keeps that result only when the input has no quote character, no line
@@ -29,6 +38,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from itertools import chain
 
 import numpy as np
@@ -201,12 +211,43 @@ def _parse_cloud_rows(text: str, columns, label_column, delimiter: str) -> Point
     return PointCloud(points, labels=tuple(labels) if labels is not None else None)
 
 
+#: A cell that holds one of these characters is quoted when written.
+_QUOTED = re.compile('[,"\r\n]')
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as one CSV cell: quoted, with its quotes doubled, if it holds
+    a comma, a quote, LF or CR. ``csv.writer`` with an LF line end leaves a
+    CR bare, and a CR read back ends the row."""
+    return '"' + text.replace('"', '""') + '"' if _QUOTED.search(text) else text
+
+
+def _csv_column(cells) -> list[str]:
+    """The str ``cells`` of one column as ``_csv_cell`` writes them; a column
+    in which no cell needs quotes is one search, with no call per cell."""
+    cells = list(cells)
+    return list(map(_csv_cell, cells)) if _QUOTED.search("".join(cells)) else cells
+
+
+def _csv_line(cells) -> str:
+    """One row of str ``cells`` as a CSV line. A row of one empty cell is
+    written ``""``, as ``csv.writer`` writes it, so it does not read as a
+    blank line."""
+    line = ",".join(map(_csv_cell, cells))
+    return (line or ('""' if cells else "")) + "\n"
+
+
 def _csv_text(rows) -> str:
-    """The rows of the iterable ``rows`` as CSV with LF line ends, written
-    as they are drawn, so no list of the rows is built."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    return out.getvalue()
+    """The rows of the iterable ``rows`` (sequences of str) as CSV with LF
+    line ends."""
+    return "".join(map(_csv_line, rows))
+
+
+def _table(row: str, columns) -> str:
+    """``row % cells`` for the cells of each row of the equal-length
+    sequences ``columns``, as one %-format of the whole table: no
+    Python-level call per row."""
+    return (row * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
 
 
 def format_cloud_csv(cloud: PointCloud, column_names, label_name=None) -> str:
@@ -214,19 +255,22 @@ def format_cloud_csv(cloud: PointCloud, column_names, label_name=None) -> str:
 
     With ``label_name`` the first column holds the cloud's ``point_labels``.
     """
-    column_names = list(column_names)
-    if len(column_names) != cloud.dim:
+    header = list(column_names)
+    if len(header) != cloud.dim:
         raise InvalidInputError("one column name per coordinate is required")
-    columns = [map(float.__repr__, column) for column in cloud.points.T.tolist()]
-    if label_name is None:
-        return _csv_text(chain([column_names], zip(*columns)))
-    return _csv_text(chain([[label_name, *column_names]], zip(point_labels(cloud), *columns)))
+    columns = cloud.points.T.tolist()
+    row = ",".join(["%r"] * cloud.dim) + "\n"
+    if label_name is not None:
+        header.insert(0, label_name)
+        columns.insert(0, _csv_column(point_labels(cloud)))
+        row = "%s," + row
+    return _csv_line(header) + _table(row, columns)
 
 
 def format_indicator_csv(series_list) -> str:
     """Write indicator series in the long table schema INDICATOR_FIELDS."""
     rows = (
-        (s.country, year, *map(repr, values))
+        (s.country, str(year), *map(repr, values))
         for s in series_list
         for year, *values in zip(s.years, *(getattr(s, v) for v in STATE_VARIABLES))
     )

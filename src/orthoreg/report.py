@@ -5,7 +5,10 @@ Each report becomes one dict (``report_to_dict``, ``compare_to_dict``,
 (key/value rows, or the economy's tables) or text; no renderer reads the
 report object. The one special case is a fit's per-point rows: json and csv
 splice them, and text lists them, from the fit's labels and distances, not
-from a dict per point.
+from a dict per point. Each of those blocks is written a column at a time,
+by one ``str.join`` over the zipped columns (json) or one %-format of the
+whole table (csv and text, ``dataio._table``), so no Python-level call is
+made per point. CSV cells are quoted by ``dataio``'s one rule.
 
 JSON and CSV write floats with ``repr`` (shortest round-tripping decimal
 form), so re-reading a report reproduces every numeric field exactly. The
@@ -25,7 +28,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .dataio import _csv_text
+from .dataio import _csv_column, _csv_text, _table
 from .economy import COORDINATE_PLANES, EconomyIndicators, EconomyPlane
 from .eigen import eigen_symmetric
 from .errors import InvalidInputError
@@ -134,10 +137,6 @@ def report_from_dict(data: dict) -> FitReport:
     )
 
 
-#: A fit's per-point items as json.dumps(..., indent=2) writes them inside
-#: the report, and as rows of the flattened key/value csv.
-_JSON_POINT = '    {{\n      "label": {},\n      "distance": {}\n    }}'
-_CSV_POINT = "per_point.{0}.label,{1}\nper_point.{0}.distance,{2}\n"
 #: json.dumps' spelling of the non-finite floats (allow_nan=True).
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -152,12 +151,12 @@ def _to_json(data: dict, points=None) -> str:
     head, _, tail = text.partition('"per_point": []')
     labels, distances = points
     distances = list(map(float.__repr__, distances))
-    items = map(
-        _JSON_POINT.format,
-        map(encode_basestring_ascii, labels),
-        map(_JSON_NON_FINITE.get, distances, distances),
-    )
-    return "".join((head, '"per_point": [\n', ",\n".join(items), "\n  ]", tail))
+    # Each item as json.dumps(..., indent=2) writes it inside the report.
+    items = '\n    },\n    {\n      "label": '.join(map(
+        ',\n      "distance": '.join,
+        zip(map(encode_basestring_ascii, labels), map(_JSON_NON_FINITE.get, distances, distances)),
+    ))
+    return "".join((head, '"per_point": [\n    {\n      "label": ', items, "\n    }\n  ]", tail))
 
 
 def _flatten(prefix: str, data, pairs: list) -> None:
@@ -176,11 +175,6 @@ def _flatten(prefix: str, data, pairs: list) -> None:
 def _to_kv_csv(data: dict, points=None) -> str:
     """``data`` flattened to key/value rows; a fit's ``points`` (labels,
     distances) are the rows of ``data``'s empty ``per_point`` list."""
-    joined = "".join(points[0]) if points else ""
-    if any(c in joined for c in ',"\r\n'):
-        # The csv writer may quote such a label: let it write every point row.
-        data = {**data, "per_point": [{"label": lab, "distance": d} for lab, d in zip(*points)]}
-        points = None
     pairs: list = [("key", "value")]
     split = 0
     for key, value in data.items():
@@ -190,8 +184,12 @@ def _to_kv_csv(data: dict, points=None) -> str:
     if points is None:
         return _csv_text(pairs)
     labels, distances = points
-    rows = map(_CSV_POINT.format, range(len(labels)), labels, map(float.__repr__, distances))
-    return "".join((_csv_text(pairs[:split]), "".join(rows), _csv_text(pairs[split:])))
+    index = range(len(labels))
+    rows = _table(
+        "per_point.%d.label,%s\nper_point.%d.distance,%r\n",
+        (index, _csv_column(labels), index, distances),
+    )
+    return "".join((_csv_text(pairs[:split]), rows, _csv_text(pairs[split:])))
 
 
 def _render(output_format: str, data: dict, text, csv=None, points=None) -> str:
@@ -228,8 +226,8 @@ def _fit_text(data: dict, points) -> str:
                   f"offset:   {_f4(model['offset'])}"]
     metric = data["metadata"].get("metric", DEFAULT_ERROR_METRIC)
     lines += [f"err ({metric}): {_f4(data['err'])}", "per-point distances:"]
-    lines.extend(f"  {label:>8}  {d:.4f}" for label, d in zip(*points))
-    return "\n".join(lines) + "\n"
+    # "%8s" and "%.4f" write what the formats ">8" and ".4f" write.
+    return "\n".join(lines) + "\n" + _table("  %8s  %.4f\n", points)
 
 
 def render_fit(report: FitReport, output_format: str) -> str:

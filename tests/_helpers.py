@@ -7,6 +7,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 from orthoreg.dataio import INDICATOR_FIELDS
 from orthoreg.economy import IndicatorSeries
@@ -198,6 +199,23 @@ def directions_at_angle(rng: np.random.Generator, dim: int, theta_deg: float, ax
     theta = math.radians(theta_deg)
     v = math.cos(theta) * u + math.sin(theta) * w
     return u * 10.0 ** rng.uniform(-3, 3), v * rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)
+
+
+#: Labels that a CSV or JSON writer must escape, or a %-format or
+#: str.format template would misread, and any text at all.
+LABELS = st.text(alphabet=st.sampled_from(list('ab1 ,"\n\r\x00%{}é€😀'))) | st.text()
+
+
+def reference_csv(rows) -> str:
+    """``rows`` as ``csv.writer`` writes them, with LF line ends and RFC 4180
+    quoting: each row is written with a CRLF line end, so that a cell with a
+    CR is quoted as well as one with an LF, and that line end becomes LF."""
+    lines = []
+    for row in rows:
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\r\n").writerow(row)
+        lines.append(out.getvalue().removesuffix("\r\n") + "\n")
+    return "".join(lines)
 
 
 def reference_parse_indicator_csv(text: str, delimiter: str = ",") -> list[IndicatorSeries]:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 
 import pytest
@@ -13,10 +14,11 @@ from orthoreg.dataio import (
     parse_cloud_csv,
     parse_indicator_csv,
 )
+from orthoreg.economy import IndicatorSeries
 from orthoreg.errors import OrthoregError
 from orthoreg.fitting import PointCloud
 
-from _helpers import reference_parse_indicator_csv
+from _helpers import LABELS, reference_csv, reference_parse_indicator_csv
 
 SAMPLE = "year,u,g,i\n1994,13.7,4.8,13.4\n1995,13.1,6.7,9.9\n"
 
@@ -236,35 +238,28 @@ class TestBulkParseMatchesRowParse:
 
 def _format_reference(cloud, column_names, label_name=None):
     """format_cloud_csv as one csv.writer row per point."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    if label_name is not None:
-        writer.writerow([label_name, *column_names])
-        labels = cloud.labels or tuple(str(i) for i in range(len(cloud)))
-        for label, point in zip(labels, cloud.points):
-            writer.writerow([label, *[repr(float(v)) for v in point]])
-    else:
-        writer.writerow(column_names)
-        for point in cloud.points:
-            writer.writerow([repr(float(v)) for v in point])
-    return out.getvalue()
+    rows = [[repr(float(v)) for v in point] for point in cloud.points]
+    if label_name is None:
+        return reference_csv([column_names, *rows])
+    labels = cloud.labels or tuple(str(i) for i in range(len(cloud)))
+    return reference_csv(
+        [[label_name, *column_names], *([label, *row] for label, row in zip(labels, rows))]
+    )
+
+
+_COORDINATES = st.sampled_from([-0.0, 5e-324, 1e16, 1e-5]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    st.integers(1, 3).flatmap(
-        lambda dim: st.lists(
-            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=dim, max_size=dim),
-            min_size=1, max_size=6,
-        )
-    ),
-    st.booleans(),
-    st.none() | st.sampled_from(["i", "a,b", 'q"'])
-)
-def test_format_cloud_csv_matches_row_writer(points, labeled, label_name):
-    labels = tuple(f'p,"{i}"\n' if i % 2 else f"p{i}" for i in range(len(points)))
-    cloud = PointCloud(points, labels=labels if labeled else None)
-    names = ["x", "y z", "w,"][: cloud.dim]
+@given(st.data(), st.integers(1, 3), st.integers(1, 6), st.booleans(), st.none() | LABELS)
+def test_format_cloud_csv_matches_row_writer(data, dim, n, labeled, label_name):
+    points = data.draw(st.lists(st.lists(_COORDINATES, min_size=dim, max_size=dim),
+                                min_size=n, max_size=n))
+    labels = data.draw(st.lists(LABELS, min_size=n, max_size=n)) if labeled else None
+    names = data.draw(st.lists(LABELS, min_size=dim, max_size=dim))
+    cloud = PointCloud(points, labels=labels)
     assert format_cloud_csv(cloud, names, label_name) == _format_reference(
         cloud, names, label_name
     )
@@ -281,6 +276,14 @@ class TestCloudCsvRoundTrip:
         assert (back.points == cloud.points).all()
         assert back.labels == cloud.labels
 
+    def test_a_cr_in_a_label_is_quoted_and_reads_back_as_lf(self):
+        cloud = PointCloud([[1, 2], [3, 4.5], [5, 7]], labels=["a\rb", "c", "d"])
+        text = format_cloud_csv(cloud, ["x", "y"], label_name="name")
+        assert text == 'name,x,y\n"a\rb",1.0,2.0\nc,3.0,4.5\nd,5.0,7.0\n'
+        back = parse_cloud_csv(text, label_column="name")
+        assert back.labels == ("a\nb", "c", "d")
+        assert (back.points == cloud.points).all()
+
     @pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z", "w")])
     def test_one_column_name_per_coordinate(self, names):
         cloud = PointCloud([[1.0, 2.0, 3.0]])
@@ -295,6 +298,11 @@ class TestIndicatorCsv:
         data = v4_dataset()
         text = format_indicator_csv(data)
         assert data == parse_indicator_csv(text)
+
+    def test_a_cr_in_a_country_code_reads_back_as_lf(self):
+        series = IndicatorSeries("S\rK", (1994, 1995, 1996), (1, 2, 3), (2, 3, 1), (3, 1, 2))
+        (back,) = parse_indicator_csv(format_indicator_csv([series]))
+        assert back == dataclasses.replace(series, country="S\nK")
 
     def test_schema_enforced(self):
         with pytest.raises(SchemaError):

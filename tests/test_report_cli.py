@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 import orthoreg
 from orthoreg import InvalidInputError, PointCloud, ResidualStats, v4_dataset
 from orthoreg.cli import emit_plot_svg, main
-from orthoreg.dataio import format_indicator_csv, parse_cloud_csv, parse_indicator_csv
+from orthoreg.dataio import (
+    _source_text,
+    format_indicator_csv,
+    parse_cloud_csv,
+    parse_indicator_csv,
+)
 from orthoreg.economy import STATE_VARIABLES, trajectory
 from orthoreg.errors import (
     DegenerateGeometryError,
@@ -27,7 +32,7 @@ from orthoreg.errors import (
     SchemaError,
     UsageError,
 )
-from orthoreg.fitting import fit_hyperplane, fit_line
+from orthoreg.fitting import FittedLine, fit_hyperplane, fit_line
 from orthoreg.regression import compare_ols_tls
 from orthoreg.report import (
     FitReport,
@@ -38,6 +43,8 @@ from orthoreg.report import (
     report_to_dict,
 )
 from orthoreg.svg import PALETTE, _escape, _Frame, nice_ticks, scatter_chart
+
+from _helpers import LABELS, reference_csv
 
 FIVE_CSV = "x,y\n1,4\n3,2\n4,6\n5,8\n7,5\n"
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -148,34 +155,51 @@ def _kv_csv_reference(data):
     """A report dict flattened to key/value pairs, one csv.writer row each."""
     pairs = []
     _flatten("", data, pairs)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    for key, value in pairs:
-        writer.writerow([key, value])
-    return out.getvalue()
+    return reference_csv([("key", "value"), *pairs])
 
 
-_LABELS = st.text(alphabet=st.sampled_from(list('ab1 ,"\n\r\x00é€😀'))) | st.text()
+#: Distances that repr, json and "%.4f" each spell in their own way.
+_DISTANCES = st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5]
+) | st.floats()
 
 
 class TestFitRenderMatchesDictRender:
-    """render_fit's json and csv against json.dumps and _flatten of report_to_dict."""
+    """render_fit's json, csv and text against json.dumps and _flatten of
+    report_to_dict, and against one formatted line per point."""
 
     @staticmethod
     def assert_renders_match(report):
         data = report_to_dict(report)
         assert render_fit(report, "json") == json.dumps(data, indent=2) + "\n"
         assert render_fit(report, "csv") == _kv_csv_reference(data)
+        _, _, lines = render_fit(report, "text").partition("per-point distances:\n")
+        assert lines == "".join(f"  {label:>8}  {d:.4f}\n" for label, d in report.per_point)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(_LABELS, min_size=3, max_size=8), st.sampled_from(["line", "plane"]))
+    @given(st.lists(LABELS, min_size=3, max_size=8), st.sampled_from(["line", "plane"]))
     def test_any_labels(self, labels, geometry):
         rng = np.random.default_rng(len(labels))
         cloud = PointCloud(rng.standard_normal((len(labels), 3)), labels=labels)
         model = fit_line(cloud) if geometry == "line" else fit_hyperplane(cloud)
         metadata = {"input": 'a "per_point": [] b', "columns": None, "geometry": geometry}
         self.assert_renders_match(build_fit_report(cloud, model, "rms", metadata))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(LABELS, _DISTANCES), min_size=1, max_size=8))
+    def test_any_labels_and_distances(self, points):
+        """Stats built field by field can hold distances no fit yields."""
+        labels, distances = zip(*points)
+        stats = ResidualStats(np.array(distances), 1.0, 2.0, 0.5, 1.0)
+        model = FittedLine(np.array([1.0, 2.0]), np.array([0.6, 0.8]), stats)
+        self.assert_renders_match(FitReport(model=model, err=2.0, labels=labels))
+
+    def test_a_cr_in_a_label_reads_back_as_lf(self, five_csv):
+        report = csv_report(five_csv, "line")
+        report = dataclasses.replace(report, labels=("a\rb", "c", '"d\r"', "e", "f"))
+        pairs = dict(csv.reader(io.StringIO(_source_text(render_fit(report, "csv")))))
+        labels = [pairs[f"per_point.{i}.label"] for i in range(5)]
+        assert labels == ["a\nb", "c", '"d\n"', "e", "f"]
 
     def test_index_labels(self, five_csv):
         self.assert_renders_match(csv_report(five_csv, "line"))

@@ -8,20 +8,29 @@ CR in a cell reads back as LF. Floats are written with ``repr``, which
 round-trips exactly.
 
 Output is written a column at a time: ``_table`` %-formats a whole table
-from its columns in one call, with no Python-level call per row, so a large
+from its columns (``_rows``), with no Python-level call per row, so a large
 table costs little more than the ``repr`` of its floats. One rule quotes a
 cell (``_csv_cell``): a cell that holds a comma, a quote, LF or CR is
 quoted, with its quotes doubled, as RFC 4180 asks. ``_csv_column`` applies
 it to a column of labels cell by cell only when some label needs it; a
 float never does.
 
-``parse_cloud_csv`` first parses the data rows with one ``np.loadtxt`` call.
+``parse_cloud_csv`` first parses the data rows with ``np.loadtxt``.
 It keeps that result only when the input has no quote character, no line
 longer than the csv module's field limit, exactly one parsed row per
 non-empty data line and only finite values; its floats are then bit-identical
 to ``float()`` on each cell. Any other input goes through the row-by-row
 parser, which alone raises the ``ParseError``/``SchemaError`` messages, so
 they are the same whichever path ran first.
+
+A table of at least ``_SPLIT_ROWS`` (2**14) rows is parsed, and written, in
+two halves at once: a forked child does the second half and sends back its
+float64 or UTF-8 bytes (``_in_halves``). That needs ``os.fork``, at least two
+CPUs in this process's affinity mask, and a Python older than 3.12, whose
+``os.fork`` warns in a process with a second thread (OpenBLAS's pool is
+one); otherwise one process does it all. Each cell is parsed or formatted on
+its own, so the joined halves have the bits and bytes of one process, and a
+rejected half sends the whole input to the row-by-row parser.
 
 A delimiter is one character other than the quote ``"``, CR and LF
 (``check_delimiter``); a number cell is ASCII without ``_``, as
@@ -36,9 +45,12 @@ is reported before an empty country code or a non-integer year in an earlier row
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import math
+import os
 import re
+import sys
 from itertools import chain
 
 import numpy as np
@@ -150,7 +162,8 @@ def parse_cloud_csv(source, columns=None, label_column=None, delimiter: str = ",
 
 
 def _parse_cloud_bulk(text: str, columns, label_column, delimiter: str):
-    """The cloud from one ``np.loadtxt`` call, or None where it may differ.
+    """The cloud from ``np.loadtxt`` on the data lines, in halves for a large
+    table (``_in_halves``), or None where it may differ.
 
     Without a quote character every csv row is its line split at the
     delimiter, so the header, the labels and the row count can be taken from
@@ -167,18 +180,25 @@ def _parse_cloud_bulk(text: str, columns, label_column, delimiter: str):
         indices, _, label_idx = _select_columns(header, columns, label_column)
     except (SchemaError, InvalidInputError):
         return None
-    try:
+    rows = lines[1:]
+
+    def parse(lo: int, hi: int) -> bytes:
         values = np.loadtxt(
-            lines, delimiter=delimiter, comments=None, skiprows=1, usecols=indices, ndmin=2
+            rows[lo:hi], delimiter=delimiter, comments=None, usecols=indices, ndmin=2
         )
+        if values.shape[0] != hi - lo or not np.isfinite(values).all():
+            raise ValueError("not one finite row per line")
+        return values.tobytes()
+
+    try:
+        data = _in_halves(parse, len(rows))
     except ValueError:
         return None
-    if values.shape[0] != len(lines) - 1 or not np.isfinite(values).all():
-        return None
+    values = np.frombuffer(data).reshape(len(rows), len(indices)).copy()  # writable
     labels = None
     if label_idx is not None:
         try:
-            labels = tuple(line.split(delimiter)[label_idx].strip() for line in lines[1:])
+            labels = tuple(line.split(delimiter)[label_idx].strip() for line in rows)
         except IndexError:
             return None
     return PointCloud(values, labels=labels)
@@ -243,11 +263,96 @@ def _csv_text(rows) -> str:
     return "".join(map(_csv_line, rows))
 
 
-def _table(row: str, columns) -> str:
+#: Tables of at least this many rows are parsed and written in two halves,
+#: one in a forked child (``_in_halves``).
+_SPLIT_ROWS = 2**14
+
+
+def _splits(n: int) -> bool:
+    """Whether ``_in_halves`` forks for ``n`` rows. From Python 3.12 on,
+    ``os.fork`` warns in a process with a second thread, and OpenBLAS's
+    thread pool is one."""
+    return (
+        n >= _SPLIT_ROWS
+        and sys.version_info < (3, 12)
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+    )
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _in_halves(work, n: int) -> bytes:
+    """``work(0, h) + work(h, n)`` with ``h = n // 2``, the second half
+    computed by a forked child while this process computes the first.
+
+    ``work(lo, hi)`` returns bytes for rows ``lo`` to ``hi`` that depend on
+    those rows alone. The child runs only ``work`` and the write to its
+    pipe, and leaves by ``os._exit``, so no atexit handler, buffer flush or
+    finaliser runs in it. If the child fails or its data is short, this
+    process computes the second half itself. If the first half raises, the
+    pipe's read end is closed before the child is reaped, so a child
+    blocked on a full pipe gets EPIPE and exits. Below ``_SPLIT_ROWS``
+    rows, or where ``_splits`` says no, ``work(0, n)`` runs here.
+    """
+    if not _splits(n):
+        return work(0, n)
+    h = n // 2
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return work(0, n)
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return work(0, n)
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            gc.disable()
+            data = work(h, n)
+            _write_all(write_fd, len(data).to_bytes(8, "little"))
+            _write_all(write_fd, data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            first = work(0, h)
+            second = pipe.read()
+    finally:
+        try:
+            status = os.waitpid(pid, 0)[1]
+        except ChildProcessError:  # reaped elsewhere: SIGCHLD is ignored
+            status = -1
+    if status == 0 and int.from_bytes(second[:8], "little") == len(second) - 8:
+        return first + memoryview(second)[8:]
+    return first + work(h, n)  # the child failed
+
+
+def _rows(row: str, columns) -> str:
     """``row % cells`` for the cells of each row of the equal-length
-    sequences ``columns``, as one %-format of the whole table: no
-    Python-level call per row."""
+    sequences ``columns``, as one %-format: no Python-level call per row."""
     return (row * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
+
+
+def _table(row: str, columns) -> str:
+    """``_rows(row, columns)``, each half of a large table written by one
+    process (``_in_halves``). Text crosses as UTF-8 with ``surrogatepass``,
+    so a label with a lone surrogate comes back as it was."""
+    def work(lo: int, hi: int) -> bytes:
+        return _rows(row, [column[lo:hi] for column in columns]).encode("utf-8", "surrogatepass")
+
+    return _in_halves(work, len(columns[0])).decode("utf-8", "surrogatepass")
 
 
 def format_cloud_csv(cloud: PointCloud, column_names, label_name=None) -> str:

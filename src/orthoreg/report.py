@@ -6,9 +6,10 @@ Each report becomes one dict (``report_to_dict``, ``compare_to_dict``,
 report object. The one special case is a fit's per-point rows: json and csv
 splice them, and text lists them, from the fit's labels and distances, not
 from a dict per point. Each of those blocks is written a column at a time,
-by one ``str.join`` over the zipped columns (json) or one %-format of the
-whole table (csv and text, ``dataio._table``), so no Python-level call is
-made per point. CSV cells are quoted by ``dataio``'s one rule.
+by one %-format of the table (``dataio._rows``), so no Python-level call is
+made per point, and a large table is written in two halves at once, one by
+a forked child (``dataio._in_halves``). CSV cells are quoted by
+``dataio``'s one rule.
 
 JSON and CSV write floats with ``repr`` (shortest round-tripping decimal
 form), so re-reading a report reproduces every numeric field exactly. The
@@ -28,7 +29,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .dataio import _csv_column, _csv_text, _table
+from .dataio import _csv_column, _csv_text, _in_halves, _rows, _table
 from .economy import COORDINATE_PLANES, EconomyIndicators, EconomyPlane
 from .eigen import eigen_symmetric
 from .errors import InvalidInputError
@@ -141,22 +142,32 @@ def report_from_dict(data: dict) -> FitReport:
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+#: One per-point item as json.dumps(..., indent=2) writes it inside the
+#: report, with the comma that follows every item but the last.
+_JSON_ITEM = '\n    {\n      "label": %s,\n      "distance": %s\n    },'
+
+
 def _to_json(data: dict, points=None) -> str:
     """``json.dumps(data, indent=2)``; a fit's ``points`` (labels, distances)
-    are the items of ``data``'s empty ``per_point`` list."""
+    are the items of ``data``'s empty ``per_point`` list, written by one
+    %-format (``dataio._rows``) per half of the points. From
+    ``dataio._SPLIT_ROWS`` points on, a forked child writes the second half
+    (``dataio._in_halves``); each item is formatted on its own, so the
+    bytes are those of one process."""
     text = json.dumps(data, indent=2) + "\n"
-    if points is None:
+    if points is None or not points[0]:
         return text
+    labels, distances = points
+
+    def items(lo: int, hi: int) -> bytes:
+        names = list(map(encode_basestring_ascii, labels[lo:hi]))
+        reprs = list(map(float.__repr__, distances[lo:hi]))
+        return _rows(_JSON_ITEM, (names, map(_JSON_NON_FINITE.get, reprs, reprs))).encode("ascii")
+
     # The first match is the key: a quote inside a JSON string is escaped.
     head, _, tail = text.partition('"per_point": []')
-    labels, distances = points
-    distances = list(map(float.__repr__, distances))
-    # Each item as json.dumps(..., indent=2) writes it inside the report.
-    items = '\n    },\n    {\n      "label": '.join(map(
-        ',\n      "distance": '.join,
-        zip(map(encode_basestring_ascii, labels), map(_JSON_NON_FINITE.get, distances, distances)),
-    ))
-    return "".join((head, '"per_point": [\n    {\n      "label": ', items, "\n    }\n  ]", tail))
+    body = _in_halves(items, len(labels)).decode("ascii")
+    return "".join((head, '"per_point": [', body[:-1], "\n  ]", tail))
 
 
 def _flatten(prefix: str, data, pairs: list) -> None:

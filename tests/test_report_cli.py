@@ -194,6 +194,12 @@ class TestFitRenderMatchesDictRender:
         model = FittedLine(np.array([1.0, 2.0]), np.array([0.6, 0.8]), stats)
         self.assert_renders_match(FitReport(model=model, err=2.0, labels=labels))
 
+    def test_no_points(self):
+        """json.dumps writes an empty per_point list as []."""
+        stats = ResidualStats(np.array([]), 0.0, 0.0, 0.0, 0.0)
+        model = FittedLine(np.array([1.0, 2.0]), np.array([0.6, 0.8]), stats)
+        self.assert_renders_match(FitReport(model=model, err=0.0, labels=()))
+
     def test_a_cr_in_a_label_reads_back_as_lf(self, five_csv):
         report = csv_report(five_csv, "line")
         report = dataclasses.replace(report, labels=("a\rb", "c", '"d\r"', "e", "f"))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from orthoreg.dataio import INDICATOR_FIELDS
 from orthoreg.economy import IndicatorSeries
 from orthoreg.eigen import MAX_SWEEPS, OFF_DIAGONAL_TOLERANCE, SIGN_TOLERANCE
-from orthoreg.errors import NumericalFailureError
+from orthoreg.errors import NumericalFailureError, OrthoregError
 
 
 def cofactor_det(m: np.ndarray) -> float:
@@ -204,6 +204,15 @@ def directions_at_angle(rng: np.random.Generator, dim: int, theta_deg: float, ax
 #: Labels that a CSV or JSON writer must escape, or a %-format or
 #: str.format template would misread, and any text at all.
 LABELS = st.text(alphabet=st.sampled_from(list('ab1 ,"\n\r\x00%{}é€😀'))) | st.text()
+
+
+def parse_outcome(parse, *args):
+    """What a parse gives: the points' bits and the labels, or the error."""
+    try:
+        cloud = parse(*args)
+    except OrthoregError as exc:
+        return type(exc), str(exc)
+    return cloud.points.shape, cloud.points.tobytes(), cloud.labels
 
 
 def reference_csv(rows) -> str:

@@ -18,7 +18,7 @@ from orthoreg.economy import IndicatorSeries
 from orthoreg.errors import OrthoregError
 from orthoreg.fitting import PointCloud
 
-from _helpers import LABELS, reference_csv, reference_parse_indicator_csv
+from _helpers import LABELS, parse_outcome, reference_csv, reference_parse_indicator_csv
 
 SAMPLE = "year,u,g,i\n1994,13.7,4.8,13.4\n1995,13.1,6.7,9.9\n"
 
@@ -145,15 +145,6 @@ class TestParseCloudCsv:
                 assert str(raised.value) == message
 
 
-def _outcome(parse, *args):
-    """What a parse gives: the points' bits and the labels, or the error."""
-    try:
-        cloud = parse(*args)
-    except OrthoregError as exc:
-        return type(exc), str(exc)
-    return cloud.points.shape, cloud.points.tobytes(), cloud.labels
-
-
 _CLEAN_CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.builds(lambda m, e: f"{m:.{e % 20}e}", st.floats(-1e3, 1e3), st.integers(-330, 330)),
@@ -212,11 +203,11 @@ class TestBulkParseMatchesRowParse:
     @given(_cloud_csv_inputs())
     def test_same_points_labels_or_error(self, args):
         source, columns, label_column, delimiter = args
-        reference = _outcome(
+        reference = parse_outcome(
             dataio._parse_cloud_rows, dataio._source_text(source), columns, label_column,
             delimiter,
         )
-        assert _outcome(parse_cloud_csv, source, columns, label_column, delimiter) == reference
+        assert parse_outcome(parse_cloud_csv, source, columns, label_column, delimiter) == reference
 
     def test_field_over_the_csv_limit_is_an_error(self):
         text = "x,name\n1," + "a" * (csv.field_size_limit() + 1) + "\n"

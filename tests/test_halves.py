@@ -22,11 +22,10 @@ from hypothesis import strategies as st
 from orthoreg import ResidualStats, dataio
 from orthoreg.cli import main
 from orthoreg.dataio import format_cloud_csv, parse_cloud_csv
-from orthoreg.errors import OrthoregError
 from orthoreg.fitting import FittedLine, PointCloud
 from orthoreg.report import FitReport, _flatten, render_fit, report_to_dict
 
-from _helpers import LABELS, reference_csv
+from _helpers import LABELS, parse_outcome, reference_csv
 
 #: Labels that a UTF-8 round trip without ``surrogatepass`` would lose or
 #: change, and the characters a CSV cell or a %-format treats specially.
@@ -58,16 +57,6 @@ def _one_process(call, *args):
         return call(*args)
 
 
-def _outcome(*args, **kwargs):
-    """What ``parse_cloud_csv`` gives: the points' bits and the labels, or
-    the error."""
-    try:
-        cloud = parse_cloud_csv(*args, **kwargs)
-    except OrthoregError as exc:
-        return type(exc), str(exc)
-    return cloud.points.shape, cloud.points.tobytes(), cloud.labels
-
-
 def _cloud_text(n, delimiter=",", labelled=False):
     rng = np.random.default_rng(n)
     cells = [
@@ -91,9 +80,10 @@ class TestSameBitsAndBytes:
     def test_parse(self, forks, delimiter, labelled):
         text = _cloud_text(41, delimiter, labelled)
         label_column = "name" if labelled else None
-        split = _outcome(text, label_column=label_column, delimiter=delimiter)
+        split = parse_outcome(parse_cloud_csv, text, None, label_column, delimiter)
         assert forks
-        assert split == _one_process(_outcome, text, None, label_column, delimiter)
+        assert split == _one_process(parse_outcome, parse_cloud_csv, text, None, label_column,
+                                     delimiter)
         cloud = parse_cloud_csv(text, label_column=label_column, delimiter=delimiter)
         assert cloud.points.flags.writeable
 
@@ -105,8 +95,8 @@ class TestSameBitsAndBytes:
         lines = _cloud_text(41).split("\n")
         lines[row] = fault
         text = "\n".join(lines)
-        expected = _one_process(_outcome, text)
-        assert _outcome(text) == expected
+        expected = _one_process(parse_outcome, parse_cloud_csv, text)
+        assert parse_outcome(parse_cloud_csv, text) == expected
         assert forks
 
     @settings(max_examples=60, deadline=None,

@@ -8,12 +8,11 @@ CR in a cell reads back as LF. Floats are written with ``repr``, which
 round-trips exactly.
 
 Output is written a column at a time: ``_table`` %-formats a whole table
-from its columns (``_rows``), with no Python-level call per row, so a large
-table costs little more than the ``repr`` of its floats. One rule quotes a
-cell (``_csv_cell``): a cell that holds a comma, a quote, LF or CR is
-quoted, with its quotes doubled, as RFC 4180 asks. ``_csv_column`` applies
-it to a column of labels cell by cell only when some label needs it; a
-float never does.
+from its columns, with no Python-level call per row. A cell that holds a
+comma, a quote, LF or CR is quoted, with its quotes doubled, as RFC 4180 asks
+(``_csv_cell``). ``_escaped`` quotes a column of labels, or escapes it for a
+report's JSON, cell by cell only where one search over the column finds a
+cell that needs it; a float never does.
 
 ``parse_cloud_csv`` first parses the data rows with ``np.loadtxt``.
 It keeps that result only when the input has no quote character, no line
@@ -57,7 +56,7 @@ import numpy as np
 
 from .economy import STATE_VARIABLES, IndicatorSeries
 from .errors import InvalidInputError, ParseError, SchemaError
-from .fitting import PointCloud, point_labels
+from .fitting import PointCloud
 
 INDICATOR_FIELDS = ("country", "year", *STATE_VARIABLES)
 
@@ -242,11 +241,11 @@ def _csv_cell(text: str) -> str:
     return '"' + text.replace('"', '""') + '"' if _QUOTED.search(text) else text
 
 
-def _csv_column(cells) -> list[str]:
-    """The str ``cells`` of one column as ``_csv_cell`` writes them; a column
-    in which no cell needs quotes is one search, with no call per cell."""
-    cells = list(cells)
-    return list(map(_csv_cell, cells)) if _QUOTED.search("".join(cells)) else cells
+def _escaped(cells, pattern, escape):
+    """The sequence of str ``cells`` of one column, each as ``escape`` writes
+    it where ``pattern`` (a character that ``escape`` changes) is in some
+    cell; else ``cells`` itself, found by one search with no call per cell."""
+    return list(map(escape, cells)) if pattern.search("".join(cells)) else cells
 
 
 def _csv_line(cells) -> str:
@@ -339,18 +338,13 @@ def _in_halves(work, n: int) -> bytes:
     return first + work(h, n)  # the child failed
 
 
-def _rows(row: str, columns) -> str:
-    """``row % cells`` for the cells of each row of the equal-length
-    sequences ``columns``, as one %-format: no Python-level call per row."""
-    return (row * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
-
-
 def _table(row: str, columns) -> str:
-    """``_rows(row, columns)``, each half of a large table written by one
-    process (``_in_halves``). Text crosses as UTF-8 with ``surrogatepass``,
-    so a label with a lone surrogate comes back as it was."""
+    """``row % cells`` for each row of the equal-length sequences
+    ``columns``, one %-format per half of the table (``_in_halves``). Text
+    crosses as UTF-8 with ``surrogatepass``, so a lone surrogate comes back."""
     def work(lo: int, hi: int) -> bytes:
-        return _rows(row, [column[lo:hi] for column in columns]).encode("utf-8", "surrogatepass")
+        cells = chain.from_iterable(zip(*(column[lo:hi] for column in columns)))
+        return ((row * (hi - lo)) % tuple(cells)).encode("utf-8", "surrogatepass")
 
     return _in_halves(work, len(columns[0])).decode("utf-8", "surrogatepass")
 
@@ -358,7 +352,7 @@ def _table(row: str, columns) -> str:
 def format_cloud_csv(cloud: PointCloud, column_names, label_name=None) -> str:
     """Write a cloud as CSV with full-precision floats.
 
-    With ``label_name`` the first column holds the cloud's ``point_labels``.
+    With ``label_name`` the first column holds the labels, or else the indices.
     """
     header = list(column_names)
     if len(header) != cloud.dim:
@@ -367,7 +361,8 @@ def format_cloud_csv(cloud: PointCloud, column_names, label_name=None) -> str:
     row = ",".join(["%r"] * cloud.dim) + "\n"
     if label_name is not None:
         header.insert(0, label_name)
-        columns.insert(0, _csv_column(point_labels(cloud)))
+        labels = cloud.labels
+        columns.insert(0, _escaped(labels, _QUOTED, _csv_cell) if labels else range(len(cloud)))
         row = "%s," + row
     return _csv_line(header) + _table(row, columns)
 

@@ -5,11 +5,10 @@ Each report becomes one dict (``report_to_dict``, ``compare_to_dict``,
 (key/value rows, or the economy's tables) or text; no renderer reads the
 report object. The one special case is a fit's per-point rows: json and csv
 splice them, and text lists them, from the fit's labels and distances, not
-from a dict per point. Each of those blocks is written a column at a time,
-by one %-format of the table (``dataio._rows``), so no Python-level call is
-made per point, and a large table is written in two halves at once, one by
-a forked child (``dataio._in_halves``). CSV cells are quoted by
-``dataio``'s one rule.
+from a dict per point. Each of those blocks is written a column at a time
+by ``dataio._table``, so no Python-level call is made per point, and a large
+table is written in two halves at once, one by a forked child. Labels are
+escaped, as CSV cells or as JSON strings, by ``dataio._escaped``'s one rule.
 
 JSON and CSV write floats with ``repr`` (shortest round-tripping decimal
 form), so re-reading a report reproduces every numeric field exactly. The
@@ -23,13 +22,15 @@ BLAS may split its long dot products across threads.
 from __future__ import annotations
 
 import json
+import math
+import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import __version__
-from .dataio import _csv_column, _csv_text, _in_halves, _rows, _table
+from .dataio import _QUOTED, _csv_cell, _csv_text, _escaped, _table
 from .economy import COORDINATE_PLANES, EconomyIndicators, EconomyPlane
 from .eigen import eigen_symmetric
 from .errors import InvalidInputError
@@ -141,32 +142,31 @@ def report_from_dict(data: dict) -> FitReport:
 #: json.dumps' spelling of the non-finite floats (allow_nan=True).
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
+#: The characters that ``encode_basestring_ascii`` escapes: all but printable
+#: ASCII other than the quote and the backslash.
+_JSON_ESCAPED = re.compile(r'[^ !#-\[\]-~]')
 
 #: One per-point item as json.dumps(..., indent=2) writes it inside the
-#: report, with the comma that follows every item but the last.
-_JSON_ITEM = '\n    {\n      "label": %s,\n      "distance": %s\n    },'
+#: report, with the comma that follows every item but the last. ``%s`` of a
+#: float writes its ``repr``.
+_JSON_ITEM = '\n    {\n      "label": "%s",\n      "distance": %s\n    },'
 
 
 def _to_json(data: dict, points=None) -> str:
     """``json.dumps(data, indent=2)``; a fit's ``points`` (labels, distances)
-    are the items of ``data``'s empty ``per_point`` list, written by one
-    %-format (``dataio._rows``) per half of the points. From
-    ``dataio._SPLIT_ROWS`` points on, a forked child writes the second half
-    (``dataio._in_halves``); each item is formatted on its own, so the
-    bytes are those of one process."""
+    are the items of ``data``'s empty ``per_point`` list, one ``_table``.
+    Where their sum is not finite, json.dumps' spellings of nan and the
+    infinities are applied; a finite distance keeps its ``repr``."""
     text = json.dumps(data, indent=2) + "\n"
     if points is None or not points[0]:
         return text
     labels, distances = points
-
-    def items(lo: int, hi: int) -> bytes:
-        names = list(map(encode_basestring_ascii, labels[lo:hi]))
-        reprs = list(map(float.__repr__, distances[lo:hi]))
-        return _rows(_JSON_ITEM, (names, map(_JSON_NON_FINITE.get, reprs, reprs))).encode("ascii")
-
+    labels = _escaped(labels, _JSON_ESCAPED, lambda s: encode_basestring_ascii(s)[1:-1])
+    if not math.isfinite(sum(distances)):
+        distances = list(map(_JSON_NON_FINITE.get, map(repr, distances), distances))
     # The first match is the key: a quote inside a JSON string is escaped.
     head, _, tail = text.partition('"per_point": []')
-    body = _in_halves(items, len(labels)).decode("ascii")
+    body = _table(_JSON_ITEM, (labels, distances))
     return "".join((head, '"per_point": [', body[:-1], "\n  ]", tail))
 
 
@@ -198,7 +198,7 @@ def _to_kv_csv(data: dict, points=None) -> str:
     index = range(len(labels))
     rows = _table(
         "per_point.%d.label,%s\nper_point.%d.distance,%r\n",
-        (index, _csv_column(labels), index, distances),
+        (index, _escaped(labels, _QUOTED, _csv_cell), index, distances),
     )
     return "".join((_csv_text(pairs[:split]), rows, _csv_text(pairs[split:])))
 

@@ -135,6 +135,35 @@ class TestSameBitsAndBytes:
         assert lines == "".join(f"  {label:>8}  {d:.4f}\n" for label, d in zip(labels, distances))
         assert len(forks) == 3
 
+    @pytest.mark.parametrize("labels, distances", [
+        pytest.param(["a", "b", "c", 'd"', "e\\", "fé"], [0.5] * 6,
+                     id="only the second half's labels need escaping"),
+        pytest.param(["a", "b", "c", "d", "e", "f"], [-math.inf, math.nan, math.inf, 1.0, 2.0, 3.0],
+                     id="only the first half holds a non-finite distance"),
+        pytest.param(["a", "b"], [1e308, 1e308], id="finite distances whose sum overflows"),
+        pytest.param(['"', "\\", "\x1f", "\x7f", "é", "\ud800", "%", "%s"], [0.25] * 8,
+                     id="labels json.dumps escapes, and %"),
+    ])
+    def test_render_fit_json(self, forks, labels, distances):
+        """A label column is escaped, and the non-finite distances spelt,
+        by one decision over the whole table, not per half."""
+        stats = ResidualStats(np.array(distances), 1.0, 2.0, 0.5, 1.0)
+        report = FitReport(FittedLine(np.array([1.0, 2.0]), np.array([0.6, 0.8]), stats), 2.0,
+                           labels)
+        assert render_fit(report, "json") == json.dumps(report_to_dict(report), indent=2) + "\n"
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("n", [2, 7])
+    def test_format_cloud_csv_index_column(self, forks, n):
+        """An unlabelled cloud's index column is written inside each half."""
+        points = np.random.default_rng(n).standard_normal((n, 2))
+        expected = reference_csv(
+            [["i", "x", "y"], *([str(i), repr(x), repr(y)] for i, (x, y) in enumerate(points.tolist()))]
+        )
+        assert format_cloud_csv(PointCloud(points), ["x", "y"], "i") == expected
+        assert len(forks) == 1
+        assert _one_process(format_cloud_csv, PointCloud(points), ["x", "y"], "i") == expected
+
 
 class TestProcessHygiene:
     @staticmethod

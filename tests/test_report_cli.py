@@ -35,6 +35,7 @@ from orthoreg.errors import (
 from orthoreg.fitting import FittedLine, fit_hyperplane, fit_line
 from orthoreg.regression import compare_ols_tls
 from orthoreg.report import (
+    _JSON_ESCAPED,
     FitReport,
     _flatten,
     build_fit_report,
@@ -225,6 +226,12 @@ class TestFitRenderMatchesDictRender:
         report = dataclasses.replace(report, model=dataclasses.replace(report.model, error=stats))
         self.assert_renders_match(report)
         assert '"distance": NaN' in render_fit(report, "json")
+
+    def test_json_label_search_finds_what_json_dumps_escapes(self):
+        """A label column is escaped whole where this search finds one
+        character, so it must find each character that json.dumps escapes."""
+        for c in map(chr, [*range(0x10000), 0x1F600, 0x10FFFF]):
+            assert bool(_JSON_ESCAPED.fullmatch(c)) == (json.dumps(c) != f'"{c}"'), hex(ord(c))
 
 
 class TestSvg:

@@ -11,8 +11,8 @@ Output is written a column at a time: ``_table`` %-formats a whole table
 from its columns, with no Python-level call per row. A cell that holds a
 comma, a quote, LF or CR is quoted, with its quotes doubled, as RFC 4180 asks
 (``_csv_cell``). ``_escaped`` quotes a column of labels, or escapes it for a
-report's JSON, cell by cell only where one search over the column finds a
-cell that needs it; a float never does.
+report's JSON, cell by cell only where one search over a half of the column
+finds a cell that needs it; a float or an index never does.
 
 ``parse_cloud_csv`` first parses the data rows with ``np.loadtxt``.
 It keeps that result only when the input has no quote character, no line
@@ -30,6 +30,12 @@ CPUs in this process's affinity mask, and a Python older than 3.12, whose
 one); otherwise one process does it all. Each cell is parsed or formatted on
 its own, so the joined halves have the bits and bytes of one process, and a
 rejected half sends the whole input to the row-by-row parser.
+
+Each half makes its own per-row Python objects. To parse, this process reads
+only the header; each half splits its own part of the body into lines, drops
+the empty ones, checks their length, takes its labels and runs
+``np.loadtxt``. To write, each half converts its slice of a float column to
+Python floats, escapes its own labels and formats its own indices.
 
 A delimiter is one character other than the quote ``"``, CR and LF
 (``check_delimiter``); a number cell is ASCII without ``_``, as
@@ -160,6 +166,10 @@ def parse_cloud_csv(source, columns=None, label_column=None, delimiter: str = ",
     return cloud
 
 
+#: The header: the first non-empty line, as csv skips empty lines.
+_HEADER = re.compile("\n*([^\n]*)")
+
+
 def _parse_cloud_bulk(text: str, columns, label_column, delimiter: str):
     """The cloud from ``np.loadtxt`` on the data lines, in halves for a large
     table (``_in_halves``), or None where it may differ.
@@ -168,39 +178,68 @@ def _parse_cloud_bulk(text: str, columns, label_column, delimiter: str):
     delimiter, so the header, the labels and the row count can be taken from
     the lines. None means: let ``_parse_cloud_rows`` parse the input or name
     its error.
+
+    This process takes the header only. The body is cut after the first
+    newline from its middle on, and each half splits its own lines, drops the
+    empty ones, checks their length, takes its labels and parses its floats.
     """
     if '"' in text:
         return None
-    lines = [line for line in text.split("\n") if line]  # csv skips empty lines
-    if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
+    header = _HEADER.match(text)
+    if len(header[1]) > csv.field_size_limit():
         return None
     try:
-        header = [h.strip() for h in lines[0].split(delimiter)]
-        indices, _, label_idx = _select_columns(header, columns, label_column)
+        names = [h.strip() for h in header[1].split(delimiter)]
+        indices, _, label_idx = _select_columns(names, columns, label_column)
     except (SchemaError, InvalidInputError):
         return None
-    rows = lines[1:]
+    start = header.end() + 1
+    n = text.count("\n", start)  # the data rows, if no line is empty
+    mid = (text.find("\n", (start + len(text)) // 2) + 1) or len(text)
 
     def parse(lo: int, hi: int) -> bytes:
-        values = np.loadtxt(
-            rows[lo:hi], delimiter=delimiter, comments=None, usecols=indices, ndmin=2
-        )
-        if values.shape[0] != hi - lo or not np.isfinite(values).all():
+        """One half's frame: its row count and its label bytes' length (8
+        bytes each), its float64 values and its labels joined by LF. The
+        first half (``lo`` 0) starts at ``start``, the second at ``mid``; the
+        last (``hi`` n) ends at the end of the text, the first at ``mid``."""
+        lines = [line for line in text[mid if lo else start:mid if hi < n else None].split("\n")
+                 if line]  # csv skips empty lines
+        if not lines:
+            return bytes(16)
+        if max(map(len, lines)) > csv.field_size_limit():
+            raise ValueError("a line longer than a csv field may be")
+        values = np.loadtxt(lines, delimiter=delimiter, comments=None, usecols=indices, ndmin=2)
+        if values.shape[0] != len(lines) or not np.isfinite(values).all():
             raise ValueError("not one finite row per line")
-        return values.tobytes()
+        labels = b""
+        if label_idx is not None:
+            try:
+                labels = "\n".join([line.split(delimiter)[label_idx].strip() for line in lines])
+            except IndexError:
+                raise ValueError("a line without its label") from None
+            labels = labels.encode("utf-8", "surrogatepass")
+        return b"".join((len(lines).to_bytes(8, "little"), len(labels).to_bytes(8, "little"),
+                         values.tobytes(), labels))
 
     try:
-        data = _in_halves(parse, len(rows))
+        data = memoryview(_in_halves(parse, n))
     except ValueError:
         return None
-    values = np.frombuffer(data).reshape(len(rows), len(indices)).copy()  # writable
-    labels = None
-    if label_idx is not None:
-        try:
-            labels = tuple(line.split(delimiter)[label_idx].strip() for line in rows)
-        except IndexError:
-            return None
-    return PointCloud(values, labels=labels)
+    values, labels = [], []
+    while data:  # one frame per half, as parse writes it
+        rows, size = int.from_bytes(data[:8], "little"), int.from_bytes(data[8:16], "little")
+        end = 16 + rows * len(indices) * 8
+        if rows:
+            values.append(np.frombuffer(data[16:end]))
+            labels.append(data[end:end + size])
+        data = data[end + size:]
+    if not values:
+        return None  # no data rows: the row parser names the error
+    points = np.concatenate(values).reshape(-1, len(indices))  # writable
+    if label_idx is None:
+        return PointCloud(points)
+    labels = b"\n".join(labels).decode("utf-8", "surrogatepass").split("\n")
+    return PointCloud(points, labels=labels)
 
 
 def _parse_cloud_rows(text: str, columns, label_column, delimiter: str) -> PointCloud:
@@ -242,10 +281,21 @@ def _csv_cell(text: str) -> str:
 
 
 def _escaped(cells, pattern, escape):
-    """The sequence of str ``cells`` of one column, each as ``escape`` writes
-    it where ``pattern`` (a character that ``escape`` changes) is in some
-    cell; else ``cells`` itself, found by one search with no call per cell."""
-    return list(map(escape, cells)) if pattern.search("".join(cells)) else cells
+    """A label column of ``_table``: each half's str ``cells``, each as
+    ``escape`` writes it where ``pattern`` (a character that ``escape``
+    changes) is in some cell of the half; else the half's cells themselves,
+    found by one search with no call per cell. ``escape`` leaves a cell
+    without such a character as it is, so the halves write what one search
+    over the whole column would. A ``range`` of index labels is returned as
+    it is: digits and ``-`` need no escaping."""
+    if isinstance(cells, range):
+        return cells
+
+    def column(lo: int, hi: int):
+        part = cells[lo:hi]
+        return list(map(escape, part)) if pattern.search("".join(part)) else part
+
+    return column
 
 
 def _csv_line(cells) -> str:
@@ -338,15 +388,27 @@ def _in_halves(work, n: int) -> bytes:
     return first + work(h, n)  # the child failed
 
 
-def _table(row: str, columns) -> str:
-    """``row % cells`` for each row of the equal-length sequences
-    ``columns``, one %-format per half of the table (``_in_halves``). Text
-    crosses as UTF-8 with ``surrogatepass``, so a lone surrogate comes back."""
+def _cells(column, lo: int, hi: int):
+    """Rows ``lo`` to ``hi`` of one column of ``_table``: a function's
+    result, a float array's slice as Python floats, or a sequence's slice."""
+    if callable(column):
+        return column(lo, hi)
+    part = column[lo:hi]
+    return part.tolist() if isinstance(part, np.ndarray) else part
+
+
+def _table(row: str, n: int, columns) -> str:
+    """``row % cells`` for each of ``n`` rows of ``columns``, one %-format
+    per half of the table (``_in_halves``). A column is a sequence (such as a
+    ``range`` of indices), a float array, or a function of ``(lo, hi)`` that
+    returns the cells of those rows (``_escaped``); each half takes its own
+    rows of each (``_cells``). Text crosses as UTF-8 with ``surrogatepass``,
+    so a lone surrogate comes back."""
     def work(lo: int, hi: int) -> bytes:
-        cells = chain.from_iterable(zip(*(column[lo:hi] for column in columns)))
+        cells = chain.from_iterable(zip(*(_cells(column, lo, hi) for column in columns)))
         return ((row * (hi - lo)) % tuple(cells)).encode("utf-8", "surrogatepass")
 
-    return _in_halves(work, len(columns[0])).decode("utf-8", "surrogatepass")
+    return _in_halves(work, n).decode("utf-8", "surrogatepass")
 
 
 def format_cloud_csv(cloud: PointCloud, column_names, label_name=None) -> str:
@@ -357,14 +419,13 @@ def format_cloud_csv(cloud: PointCloud, column_names, label_name=None) -> str:
     header = list(column_names)
     if len(header) != cloud.dim:
         raise InvalidInputError("one column name per coordinate is required")
-    columns = cloud.points.T.tolist()
+    columns = list(cloud.points.T)
     row = ",".join(["%r"] * cloud.dim) + "\n"
     if label_name is not None:
         header.insert(0, label_name)
-        labels = cloud.labels
-        columns.insert(0, _escaped(labels, _QUOTED, _csv_cell) if labels else range(len(cloud)))
+        columns.insert(0, _escaped(cloud.labels or range(len(cloud)), _QUOTED, _csv_cell))
         row = "%s," + row
-    return _csv_line(header) + _table(row, columns)
+    return _csv_line(header) + _table(row, len(cloud), columns)
 
 
 def format_indicator_csv(series_list) -> str:

@@ -9,6 +9,9 @@ from a dict per point. Each of those blocks is written a column at a time
 by ``dataio._table``, so no Python-level call is made per point, and a large
 table is written in two halves at once, one by a forked child. Labels are
 escaped, as CSV cells or as JSON strings, by ``dataio._escaped``'s one rule.
+Each half converts its own distances to Python floats and escapes its own
+labels; a report of an unlabelled cloud keeps its labels as a ``range``
+(``_IndexLabels``), so each half also formats its own indices.
 
 JSON and CSV write floats with ``repr`` (shortest round-tripping decimal
 form), so re-reading a report reproduces every numeric field exactly. The
@@ -22,8 +25,8 @@ BLAS may split its long dot products across threads.
 from __future__ import annotations
 
 import json
-import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
@@ -47,23 +50,64 @@ from .fitting import (
 from .regression import ComparisonReport
 
 
+class _IndexLabels(Sequence):
+    """The labels of an unlabelled cloud's points: ``str`` of each index in
+    ``range``, made only when read. It equals, and hashes as, the tuple of
+    those strings. The writers hand ``range`` to ``dataio._table``, so each
+    half of a large table formats its own indices."""
+
+    __slots__ = ("range",)
+
+    def __init__(self, indices: range):
+        self.range = indices
+
+    def __len__(self) -> int:
+        return len(self.range)
+
+    def __getitem__(self, i):
+        return _IndexLabels(self.range[i]) if isinstance(i, slice) else str(self.range[i])
+
+    def __iter__(self):
+        return map(str, self.range)
+
+    def __eq__(self, other):
+        if isinstance(other, _IndexLabels):
+            return self.range == other.range
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class FitReport:
     """Result of one fit: the model, the reported error, and one label per
-    distance in ``model.error.per_point_distance`` (stored as ``str`` of
-    each, as in PointCloud).
+    distance in ``model.error.per_point_distance``.
+
+    ``labels`` reads as a sequence of ``str``, as in PointCloud. A ``range``
+    (``build_fit_report``'s labels for an unlabelled cloud) is kept as the
+    indices' labels (``_IndexLabels``), so no label string is made before
+    the writers' halves format them; any other labels are stored as a tuple
+    of ``str`` of each.
 
     ``cloud`` keeps the fitted data for plotting; it is not serialized.
     """
 
     model: FittedLine | FittedHyperplane
     err: float
-    labels: tuple[str, ...]
+    labels: Sequence[str]
     metadata: dict = field(default_factory=dict)
     cloud: PointCloud | None = None
 
     def __post_init__(self):
-        labels = tuple(str(x) for x in self.labels)
+        labels = self.labels
+        if isinstance(labels, range):
+            labels = _IndexLabels(labels)
+        elif not isinstance(labels, _IndexLabels):
+            labels = tuple(str(x) for x in labels)
         if len(labels) != len(self.model.error.per_point_distance):
             raise InvalidInputError("report labels must match the per-point distances")
         object.__setattr__(self, "labels", labels)
@@ -78,7 +122,7 @@ def build_fit_report(cloud: PointCloud, model, metric: str, metadata: dict) -> F
     return FitReport(
         model=model,
         err=model.error.metric(metric),
-        labels=point_labels(cloud),
+        labels=cloud.labels or range(len(cloud)),
         metadata={**metadata, "metric": metric, "version": __version__},
         cloud=cloud,
     )
@@ -155,18 +199,23 @@ _JSON_ITEM = '\n    {\n      "label": "%s",\n      "distance": %s\n    },'
 def _to_json(data: dict, points=None) -> str:
     """``json.dumps(data, indent=2)``; a fit's ``points`` (labels, distances)
     are the items of ``data``'s empty ``per_point`` list, one ``_table``.
-    Where their sum is not finite, json.dumps' spellings of nan and the
-    infinities are applied; a finite distance keeps its ``repr``."""
+    Where a distance is not finite, json.dumps' spellings of nan and the
+    infinities are applied in each half; a finite distance keeps its
+    ``repr``."""
     text = json.dumps(data, indent=2) + "\n"
     if points is None or not points[0]:
         return text
     labels, distances = points
     labels = _escaped(labels, _JSON_ESCAPED, lambda s: encode_basestring_ascii(s)[1:-1])
-    if not math.isfinite(sum(distances)):
-        distances = list(map(_JSON_NON_FINITE.get, map(repr, distances), distances))
+    column = distances
+    if not np.isfinite(distances).all():
+        def column(lo: int, hi: int):
+            values = distances[lo:hi].tolist()
+            return list(map(_JSON_NON_FINITE.get, map(repr, values), values))
+
     # The first match is the key: a quote inside a JSON string is escaped.
     head, _, tail = text.partition('"per_point": []')
-    body = _table(_JSON_ITEM, (labels, distances))
+    body = _table(_JSON_ITEM, len(distances), (labels, column))
     return "".join((head, '"per_point": [', body[:-1], "\n  ]", tail))
 
 
@@ -198,6 +247,7 @@ def _to_kv_csv(data: dict, points=None) -> str:
     index = range(len(labels))
     rows = _table(
         "per_point.%d.label,%s\nper_point.%d.distance,%r\n",
+        len(labels),
         (index, _escaped(labels, _QUOTED, _csv_cell), index, distances),
     )
     return "".join((_csv_text(pairs[:split]), rows, _csv_text(pairs[split:])))
@@ -238,11 +288,14 @@ def _fit_text(data: dict, points) -> str:
     metric = data["metadata"].get("metric", DEFAULT_ERROR_METRIC)
     lines += [f"err ({metric}): {_f4(data['err'])}", "per-point distances:"]
     # "%8s" and "%.4f" write what the formats ">8" and ".4f" write.
-    return "\n".join(lines) + "\n" + _table("  %8s  %.4f\n", points)
+    return "\n".join(lines) + "\n" + _table("  %8s  %.4f\n", len(points[0]), points)
 
 
 def render_fit(report: FitReport, output_format: str) -> str:
-    points = (report.labels, report.model.error.per_point_distance.tolist())
+    labels = report.labels
+    if isinstance(labels, _IndexLabels):
+        labels = labels.range
+    points = (labels, report.model.error.per_point_distance)
     return _render(output_format, _report_dict(report, []), _fit_text, points=points)
 
 

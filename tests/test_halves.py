@@ -7,6 +7,7 @@ split cannot run (one CPU, no ``os.fork``, Python 3.12 or later) skips the
 tests that need it.
 """
 
+import csv
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from orthoreg import ResidualStats, dataio
 from orthoreg.cli import main
 from orthoreg.dataio import format_cloud_csv, parse_cloud_csv
 from orthoreg.fitting import FittedLine, PointCloud
-from orthoreg.report import FitReport, _flatten, render_fit, report_to_dict
+from orthoreg.report import FitReport, _flatten, build_fit_report, render_fit, report_to_dict
 
 from _helpers import LABELS, parse_outcome, reference_csv
 
@@ -140,6 +141,8 @@ class TestSameBitsAndBytes:
                      id="only the second half's labels need escaping"),
         pytest.param(["a", "b", "c", "d", "e", "f"], [-math.inf, math.nan, math.inf, 1.0, 2.0, 3.0],
                      id="only the first half holds a non-finite distance"),
+        pytest.param(["a", "b", "c", "d", "e", "f"], [1.0, 2.0, 3.0, math.nan, math.inf, 0.5],
+                     id="only the second half holds a non-finite distance"),
         pytest.param(["a", "b"], [1e308, 1e308], id="finite distances whose sum overflows"),
         pytest.param(['"', "\\", "\x1f", "\x7f", "é", "\ud800", "%", "%s"], [0.25] * 8,
                      id="labels json.dumps escapes, and %"),
@@ -163,6 +166,123 @@ class TestSameBitsAndBytes:
         assert format_cloud_csv(PointCloud(points), ["x", "y"], "i") == expected
         assert len(forks) == 1
         assert _one_process(format_cloud_csv, PointCloud(points), ["x", "y"], "i") == expected
+
+
+def _kv_csv(data):
+    pairs = []
+    _flatten("", data, pairs)
+    return reference_csv([("key", "value"), *pairs])
+
+
+def _line(distances):
+    stats = ResidualStats.from_distances(distances)
+    return FittedLine(np.array([1.0, 2.0]), np.array([0.6, 0.8]), stats)
+
+
+class TestEachHalfOwnsItsRows:
+    """Each half splits its own lines and takes its own labels, converts its
+    own floats, and escapes and formats its own labels."""
+
+    @pytest.mark.parametrize("odd", _ODD_LABELS)
+    @pytest.mark.parametrize("row", [1, 6])  # first half, second half of 8
+    def test_a_label_to_escape_in_either_half(self, forks, odd, row):
+        labels = [f"p{i}" for i in range(8)]
+        labels[row] = odd
+        points = np.random.default_rng(row).standard_normal((8, 2))
+        report = FitReport(_line(np.abs(points[:, 0])), 1.0, labels)
+        cloud = PointCloud(points, labels=labels)
+        expected = {
+            "json": json.dumps(report_to_dict(report), indent=2) + "\n",
+            "csv": _kv_csv(report_to_dict(report)),
+            "cloud": reference_csv([["name", "x", "y"], *(
+                [label, repr(x), repr(y)] for label, (x, y) in zip(labels, points.tolist()))]),
+        }
+        outputs = (render_fit(report, "json"), render_fit(report, "csv"),
+                   format_cloud_csv(cloud, ["x", "y"], "name"))
+        assert len(forks) == 3
+        assert outputs == tuple(expected.values())
+        assert _one_process(render_fit, report, "json") == expected["json"]
+        assert _one_process(render_fit, report, "csv") == expected["csv"]
+        assert _one_process(format_cloud_csv, cloud, ["x", "y"], "name") == expected["cloud"]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 9, 11])  # about a _SPLIT_ROWS of 10
+    @pytest.mark.parametrize("split", [True, False])
+    def test_index_labels_render_as_explicit_labels(self, request, monkeypatch, n, split):
+        forks = request.getfixturevalue("forks") if split else []
+        monkeypatch.setattr(dataio, "_SPLIT_ROWS", 10 if split else math.inf)
+        points = np.random.default_rng(n).standard_normal((n, 2))
+        points[0, 0] = math.inf if n > 1 else 0.0  # an infinite distance below
+        model = _line(np.abs(points[:, 0]))
+        names = tuple(str(i) for i in range(n))
+        index = build_fit_report(PointCloud(points[:, 1:]), model, "sum_abs", {})
+        named = build_fit_report(PointCloud(points[:, 1:], labels=names), model, "sum_abs", {})
+        for output_format in ("json", "csv", "text"):
+            assert render_fit(index, output_format) == render_fit(named, output_format)
+        assert len(forks) == (6 if split and n >= 10 else 0)
+        assert index.labels == names and hash(index.labels) == hash(names)
+        assert tuple(index.labels) == names and index.labels[1:] == names[1:]
+        assert index.labels[-1] == names[-1] and len(index.labels) == n
+        assert {type(label) for label in index.labels} == {str}
+        assert index.per_point == named.per_point
+        assert {type(label) for label, _ in index.per_point} == {str}
+        data = report_to_dict(index)
+        assert data == report_to_dict(named)
+        assert {type(point["label"]) for point in data["per_point"]} == {str}
+        assert FitReport(model, 1.0, range(n)).labels == names
+
+    @staticmethod
+    def _fault(row, fault):
+        lines = _cloud_text(41).split("\n")
+        lines[row] = fault
+        return "\n".join(lines)
+
+    @pytest.mark.parametrize("text, label_column, delimiter, splits, bulk", [
+        pytest.param("x,y,z\n" + "1,2,3\n" * 5 + "\n" * 200 + "4,5,6\n" * 5, None, ",", True, True,
+                     id="the cut inside a run of blank lines"),
+        pytest.param("x,y,z\n1,2,3\n4,5,6\n0." + "0" * 300 + "7,8,9\n", None, ",", True, True,
+                     id="the cut on the last line"),
+        pytest.param("x,y,z\n1,2,3\n4,5,6\n0." + "0" * 300 + "7,8,9", None, ",", True, True,
+                     id="the cut on the last line, with no newline after it"),
+        pytest.param(_cloud_text(41).rstrip("\n"), None, ",", True, True, id="no trailing newline"),
+        pytest.param("x,y,z\n1,2,3\n", None, ",", False, True, id="one data row"),
+        pytest.param("x,y,z\n1,2,3", None, ",", False, True, id="one data row, no newline"),
+        pytest.param("x,y,z\n1,2,3\n\n\n\n", None, ",", True, True, id="one data row, then blank lines"),
+        pytest.param("\n\nx,y,z\n\n1,2,3\n4,5,6\n", None, ",", True, True, id="blank lines first"),
+        pytest.param("x,y,z\n", None, ",", False, False, id="no data row"),
+        pytest.param("x,y,z\n\n\n\n", None, ",", True, False, id="no data row, blank lines"),
+        pytest.param(_fault(38, '"1",2,3'), None, ",", False, False, id="a quote in the second half"),
+        pytest.param(_fault(38, "1,2,3" + ",0" * 250), None, ",", True, False,
+                     id="an over-long line in the second half"),
+        pytest.param(_fault(38, "1,2," + "3" * 500), None, ",", True, False,
+                     id="an over-long cell in the second half"),
+        pytest.param(_fault(38, "1,2,nan"), None, ",", True, False, id="nan in the second half"),
+        pytest.param(_fault(38, "1,2"), None, ",", True, False, id="a short row in the second half"),
+        pytest.param(("\ufeff" + _cloud_text(41).replace("\n", "\r\n")).encode(), None, ",", True, True,
+                     id="CRLF and a byte-order mark"),
+        pytest.param(_cloud_text(41, ";", True), "name", ";", True, True, id="labels, ;-delimited"),
+        pytest.param("x,y,name\n1,2,a\n3,4,b\n" + "\n" * 40, "name", ",", True, True,
+                     id="labels, then blank lines"),
+        pytest.param("x,y,name\n" + "".join(f"{i},{i * i},p{i}\n" for i in range(9)) + "1,2\n",
+                     "name", ",", True, False, id="a row without its label in the second half"),
+    ])
+    def test_where_the_parser_cuts_the_body(self, forks, text, label_column, delimiter, splits,
+                                            bulk):
+        """The bits of one process, and the row parser's bits or error; a
+        cloud from the split ``np.loadtxt`` wherever ``bulk``."""
+        previous = csv.field_size_limit(400)
+        try:
+            cloud = dataio._parse_cloud_bulk(dataio._source_text(text), None, label_column,
+                                             delimiter)
+            assert (cloud is not None) == bulk
+            assert bool(forks) == splits
+            split = parse_outcome(parse_cloud_csv, text, None, label_column, delimiter)
+            assert split == _one_process(
+                parse_outcome, parse_cloud_csv, text, None, label_column, delimiter)
+            rows = parse_outcome(dataio._parse_cloud_rows, dataio._source_text(text), None,
+                                 label_column, delimiter)
+        finally:
+            csv.field_size_limit(previous)
+        assert split == rows
 
 
 class TestProcessHygiene:

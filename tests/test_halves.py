@@ -211,7 +211,7 @@ class TestEachHalfOwnsItsRows:
         forks = request.getfixturevalue("forks") if split else []
         monkeypatch.setattr(dataio, "_SPLIT_ROWS", 10 if split else math.inf)
         points = np.random.default_rng(n).standard_normal((n, 2))
-        points[0, 0] = math.inf if n > 1 else 0.0  # an infinite distance below
+        points[0, 0] = math.inf  # a distance that json spells Infinity
         model = _line(np.abs(points[:, 0]))
         names = tuple(str(i) for i in range(n))
         index = build_fit_report(PointCloud(points[:, 1:]), model, "sum_abs", {})

@@ -24,7 +24,8 @@ they are the same whichever path ran first.
 
 A table of at least ``_SPLIT_ROWS`` (2**14) rows is parsed, and written, in
 two halves at once: a forked child does the second half and sends back its
-float64 or UTF-8 bytes (``_in_halves``). That needs ``os.fork``, at least two
+result, its values and labels or its text, as one pickle (``_in_halves``);
+this process keeps its own half as it is. That needs ``os.fork``, at least two
 CPUs in this process's affinity mask, and a Python older than 3.12, whose
 ``os.fork`` warns in a process with a second thread (OpenBLAS's pool is
 one); otherwise one process does it all. Each cell is parsed or formatted on
@@ -54,6 +55,7 @@ import gc
 import io
 import math
 import os
+import pickle
 import re
 import sys
 from itertools import chain
@@ -181,7 +183,9 @@ def _parse_cloud_bulk(text: str, columns, label_column, delimiter: str):
 
     This process takes the header only. The body is cut after the first
     newline from its middle on, and each half splits its own lines, drops the
-    empty ones, checks their length, takes its labels and parses its floats.
+    empty ones, checks their length, takes its labels and parses its floats;
+    the child's half crosses the pipe as a pickle, and the halves' values and
+    labels are concatenated here.
     """
     if '"' in text:
         return None
@@ -197,49 +201,37 @@ def _parse_cloud_bulk(text: str, columns, label_column, delimiter: str):
     n = text.count("\n", start)  # the data rows, if no line is empty
     mid = (text.find("\n", (start + len(text)) // 2) + 1) or len(text)
 
-    def parse(lo: int, hi: int) -> bytes:
-        """One half's frame: its row count and its label bytes' length (8
-        bytes each), its float64 values and its labels joined by LF. The
-        first half (``lo`` 0) starts at ``start``, the second at ``mid``; the
-        last (``hi`` n) ends at the end of the text, the first at ``mid``."""
+    def parse(lo: int, hi: int):
+        """One half's float64 values and its labels (None without a label
+        column). The first half (``lo`` 0) starts at ``start``, the second at
+        ``mid``; the last (``hi`` n) ends at the end of the text, the first
+        at ``mid``."""
         lines = [line for line in text[mid if lo else start:mid if hi < n else None].split("\n")
                  if line]  # csv skips empty lines
         if not lines:
-            return bytes(16)
+            return np.empty((0, len(indices))), None if label_idx is None else []
         if max(map(len, lines)) > csv.field_size_limit():
             raise ValueError("a line longer than a csv field may be")
         values = np.loadtxt(lines, delimiter=delimiter, comments=None, usecols=indices, ndmin=2)
         if values.shape[0] != len(lines) or not np.isfinite(values).all():
             raise ValueError("not one finite row per line")
-        labels = b""
-        if label_idx is not None:
-            try:
-                labels = "\n".join([line.split(delimiter)[label_idx].strip() for line in lines])
-            except IndexError:
-                raise ValueError("a line without its label") from None
-            labels = labels.encode("utf-8", "surrogatepass")
-        return b"".join((len(lines).to_bytes(8, "little"), len(labels).to_bytes(8, "little"),
-                         values.tobytes(), labels))
+        if label_idx is None:
+            return values, None
+        try:
+            return values, [line.split(delimiter)[label_idx].strip() for line in lines]
+        except IndexError:
+            raise ValueError("a line without its label") from None
 
     try:
-        data = memoryview(_in_halves(parse, n))
+        halves = _in_halves(parse, n)
     except ValueError:
         return None
-    values, labels = [], []
-    while data:  # one frame per half, as parse writes it
-        rows, size = int.from_bytes(data[:8], "little"), int.from_bytes(data[8:16], "little")
-        end = 16 + rows * len(indices) * 8
-        if rows:
-            values.append(np.frombuffer(data[16:end]))
-            labels.append(data[end:end + size])
-        data = data[end + size:]
-    if not values:
+    points = np.concatenate([values for values, _ in halves])  # writable
+    if not len(points):
         return None  # no data rows: the row parser names the error
-    points = np.concatenate(values).reshape(-1, len(indices))  # writable
     if label_idx is None:
         return PointCloud(points)
-    labels = b"\n".join(labels).decode("utf-8", "surrogatepass").split("\n")
-    return PointCloud(points, labels=labels)
+    return PointCloud(points, labels=chain.from_iterable(labels for _, labels in halves))
 
 
 def _parse_cloud_rows(text: str, columns, label_column, delimiter: str) -> PointCloud:
@@ -330,46 +322,41 @@ def _splits(n: int) -> bool:
     )
 
 
-def _write_all(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
+def _in_halves(work, n: int) -> list:
+    """``[work(0, h), work(h, n)]`` with ``h = n // 2``, the second half
+    computed by a forked child while this process computes the first; or
+    ``[work(0, n)]`` below ``_SPLIT_ROWS`` rows or where ``_splits`` says no.
 
-
-def _in_halves(work, n: int) -> bytes:
-    """``work(0, h) + work(h, n)`` with ``h = n // 2``, the second half
-    computed by a forked child while this process computes the first.
-
-    ``work(lo, hi)`` returns bytes for rows ``lo`` to ``hi`` that depend on
-    those rows alone. The child runs only ``work`` and the write to its
-    pipe, and leaves by ``os._exit``, so no atexit handler, buffer flush or
-    finaliser runs in it. If the child fails or its data is short, this
-    process computes the second half itself. If the first half raises, the
-    pipe's read end is closed before the child is reaped, so a child
-    blocked on a full pipe gets EPIPE and exits. Below ``_SPLIT_ROWS``
-    rows, or where ``_splits`` says no, ``work(0, n)`` runs here.
+    ``work(lo, hi)`` returns a picklable result for rows ``lo`` to ``hi``
+    that depends on those rows alone. The child runs only ``work`` and
+    pickles its result into its pipe, and leaves by ``os._exit``, so no
+    atexit handler, buffer flush or finaliser runs in it. This process keeps
+    its own half as ``work`` returned it, and unpickles only what its own
+    child wrote. If the child fails or its pickle is not whole, this process
+    computes the second half itself. If the first half raises, the pipe's
+    read end is closed before the child is reaped, so a child blocked on a
+    full pipe gets EPIPE and exits.
     """
     if not _splits(n):
-        return work(0, n)
+        return [work(0, n)]
     h = n // 2
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
-        return work(0, n)
+        return [work(0, n)]
     try:
         pid = os.fork()
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        return work(0, n)
+        return [work(0, n)]
     if pid == 0:
         code = 1
         try:
             os.close(read_fd)
             gc.disable()
-            data = work(h, n)
-            _write_all(write_fd, len(data).to_bytes(8, "little"))
-            _write_all(write_fd, data)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(work(h, n), pipe, pickle.HIGHEST_PROTOCOL)
             code = 0
         finally:
             os._exit(code)
@@ -383,9 +370,12 @@ def _in_halves(work, n: int) -> bytes:
             status = os.waitpid(pid, 0)[1]
         except ChildProcessError:  # reaped elsewhere: SIGCHLD is ignored
             status = -1
-    if status == 0 and int.from_bytes(second[:8], "little") == len(second) - 8:
-        return first + memoryview(second)[8:]
-    return first + work(h, n)  # the child failed
+    if status == 0:
+        try:
+            return [first, pickle.loads(second)]
+        except (pickle.UnpicklingError, EOFError):  # not a whole pickle
+            pass
+    return [first, work(h, n)]  # the child failed
 
 
 def _cells(column, lo: int, hi: int):
@@ -402,13 +392,13 @@ def _table(row: str, n: int, columns) -> str:
     per half of the table (``_in_halves``). A column is a sequence (such as a
     ``range`` of indices), a float array, or a function of ``(lo, hi)`` that
     returns the cells of those rows (``_escaped``); each half takes its own
-    rows of each (``_cells``). Text crosses as UTF-8 with ``surrogatepass``,
-    so a lone surrogate comes back."""
-    def work(lo: int, hi: int) -> bytes:
+    rows of each (``_cells``), and the child's text crosses the pipe as a
+    pickle."""
+    def work(lo: int, hi: int) -> str:
         cells = chain.from_iterable(zip(*(_cells(column, lo, hi) for column in columns)))
-        return ((row * (hi - lo)) % tuple(cells)).encode("utf-8", "surrogatepass")
+        return (row * (hi - lo)) % tuple(cells)
 
-    return _in_halves(work, n).decode("utf-8", "surrogatepass")
+    return "".join(_in_halves(work, n))
 
 
 def format_cloud_csv(cloud: PointCloud, column_names, label_name=None) -> str:

@@ -124,12 +124,6 @@ class PointCloud:
         return cls(np.column_stack([first, *rest]), labels=labels)
 
 
-def point_labels(cloud: PointCloud):
-    """The cloud's labels, or else an iterator over each point's 0-based index
-    as a string, which builds no sequence of them."""
-    return cloud.labels or map(str, range(len(cloud)))
-
-
 @dataclass(frozen=True)
 class ResidualStats:
     """Orthogonal-distance residual aggregates for a fitted flat."""
@@ -587,7 +581,6 @@ __all__ = [
     "ERROR_METRICS",
     "DEFAULT_ERROR_METRIC",
     "PointCloud",
-    "point_labels",
     "ResidualStats",
     "FittedLine",
     "FittedHyperplane",

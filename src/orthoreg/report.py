@@ -44,7 +44,6 @@ from .fitting import (
     FittedLine,
     PointCloud,
     ResidualStats,
-    point_labels,
     scatter_matrix,
 )
 from .regression import ComparisonReport
@@ -439,7 +438,7 @@ def scene_dict(plane: EconomyPlane, cloud: PointCloud) -> dict:
     corners = [c + s * half_u * e1 + t * half_v * e2 for s, t in signs]
     return {
         "country": plane.country,
-        "labels": list(point_labels(cloud)),
+        "labels": list(cloud.labels or _IndexLabels(range(len(cloud)))),
         "points": [_vec(p) for p in cloud.points],
         "trajectory": list(range(len(cloud))),
         "plane": {**_plane_dict(plane.plane), "corners": [_vec(p) for p in corners]},
@@ -450,5 +449,4 @@ def scene_dict(plane: EconomyPlane, cloud: PointCloud) -> dict:
 __all__ = [
     "FitReport", "build_fit_report", "report_to_dict", "report_from_dict", "render_fit",
     "compare_to_dict", "render_compare", "economy_to_dict", "render_economy", "scene_dict",
-    "point_labels",
 ]

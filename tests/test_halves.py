@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import os
+import pickle
 import signal
 import sys
 import warnings
@@ -28,8 +29,9 @@ from orthoreg.report import FitReport, _flatten, build_fit_report, render_fit, r
 
 from _helpers import LABELS, parse_outcome, reference_csv
 
-#: Labels that a UTF-8 round trip without ``surrogatepass`` would lose or
-#: change, and the characters a CSV cell or a %-format treats specially.
+#: Labels that a strict UTF-8 round trip would lose or change (the child's
+#: half crosses the pipe as a pickle, which must keep them), and the
+#: characters a CSV cell or a %-format treats specially.
 _ODD_LABELS = ["\ud800", "a\udfffb", "😀", "\r", 'c\r"d', "%", "%s%%", "", "é€😀"]
 
 
@@ -298,7 +300,38 @@ class TestProcessHygiene:
                 raise RuntimeError("only in the child")
             return self._bytes(lo, hi)
 
-        assert dataio._in_halves(work, 11) == self._bytes(0, 11)
+        assert b"".join(dataio._in_halves(work, 11)) == self._bytes(0, 11)
+        assert forks
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_child_whose_pickle_breaks_part_way(self, forks):
+        """The child pickles a first item far larger than a pipe holds into
+        the pipe before it meets one that cannot be pickled."""
+        parent = os.getpid()
+
+        def work(lo, hi):
+            if os.getpid() != parent:
+                return [bytes(4 << 20), lambda: None]
+            return self._bytes(lo, hi)
+
+        assert b"".join(dataio._in_halves(work, 11)) == self._bytes(0, 11)
+        assert forks
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_child_that_exits_0_with_a_cut_pickle(self, forks, monkeypatch):
+        """Only a whole pickle is the child's half."""
+        parent = os.getpid()
+
+        def work(lo, hi):
+            return self._bytes(lo, hi) if os.getpid() == parent else b"the child's"
+
+        def cut_dump(obj, file, protocol):
+            file.write(pickle.dumps(obj, protocol)[:-1])
+
+        monkeypatch.setattr(pickle, "dump", cut_dump)
+        assert b"".join(dataio._in_halves(work, 11)) == self._bytes(0, 11)
         assert forks
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -360,7 +393,7 @@ class TestProcessHygiene:
             calls.append((lo, hi))
             return self._bytes(lo, hi)
 
-        assert dataio._in_halves(work, 11) == self._bytes(0, 11)
+        assert b"".join(dataio._in_halves(work, 11)) == self._bytes(0, 11)
         assert calls == [(0, 11)]
 
     @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ from orthoreg.dataio import (
     parse_cloud_csv,
     parse_indicator_csv,
 )
-from orthoreg.economy import STATE_VARIABLES, trajectory
+from orthoreg.economy import STATE_VARIABLES, economy_plane, trajectory
 from orthoreg.errors import (
     DegenerateGeometryError,
     NumericalFailureError,
@@ -42,6 +42,7 @@ from orthoreg.report import (
     render_fit,
     report_from_dict,
     report_to_dict,
+    scene_dict,
 )
 from orthoreg.svg import PALETTE, _escape, _Frame, nice_ticks, scatter_chart
 
@@ -476,6 +477,25 @@ class TestCliContract:
         capsys.readouterr()
         assert path.read_text(encoding="utf-8") == out
 
+    @pytest.mark.parametrize("extra, code, err", [
+        (["--n", "99999999999999999999"], 3, "error: n is too large for one array of points\n"),
+        (["--sigma", "1e308"], 3, "error: point coordinates must be finite\n"),
+        (["--start=-1e308,0,0", "--end=1e308,1,1"], 3, "error: end - start must be finite\n"),
+        (["--end=1e308,1e308,1e308"], 0, ""),
+    ], ids=["huge-n", "huge-sigma", "end-minus-start-overflows", "norm-overflows"])
+    def test_gen_bumblebee_on_hostile_inputs(self, capsys, extra, code, err):
+        """One error line and exit 3, or a cloud; never a numpy warning."""
+        argv = ["gen-bumblebee", "--start=0,0,0", "--end=1,1,1", "--n", "3", *extra]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == code
+        out, captured = capsys.readouterr()
+        assert captured == err
+        if code == 0:
+            assert out.splitlines()[-1] == "2,1e+308,1e+308,1e+308"  # the end, at sigma 0
+        else:
+            assert out == ""
+
     def test_plot_files_written(self, tmp_path, five_csv, monkeypatch, capsys):
         monkeypatch.setenv("ORTHOREG_OUTPUT_DIR", str(tmp_path / "plots"))
         assert main(["compare", "--input", five_csv, "--plot"]) == 0
@@ -502,6 +522,16 @@ class TestCliContract:
         for corner in scene["plane"]["corners"]:
             assert abs(float(normal @ corner) + offset) < 1e-9
         assert len(scene["points"]) == 7
+
+    def test_an_unlabelled_clouds_scene_lists_its_indices(self):
+        """A scene's labels are the cloud's labels, or else its points'
+        0-based indices as strings."""
+        plane = economy_plane(v4_dataset()[0])
+        labelled = trajectory(v4_dataset()[0])
+        unlabelled = PointCloud(labelled.points)
+        assert scene_dict(plane, labelled)["labels"] == list(labelled.labels)
+        scene = json.loads(json.dumps(scene_dict(plane, unlabelled)))
+        assert scene["labels"] == [str(i) for i in range(len(labelled))]
 
     def test_output_file_parents_created(self, tmp_path, capsys):
         out = tmp_path / "new" / "bee.csv"

@@ -1,3 +1,8 @@
+import math
+import sys
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +12,7 @@ from orthoreg import (
     fit_line,
     generate_line_cloud,
 )
+from orthoreg import synthetic
 from orthoreg.synthetic import standard_normals
 
 # Frozen regression values for the reference spec
@@ -135,3 +141,77 @@ class TestNoiseQuality:
         noise = sample.cloud.points - np.outer(t, [10.0, 10.0, 10.0])
         stds = noise.std(axis=0)
         assert np.abs(stds - 0.5).max() < 0.05
+
+
+class TestHostileSpecs:
+    """A spec whose cloud cannot be held or overflows float64 is an
+    InvalidInputError, and no spec makes numpy warn."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_n_beyond_one_array_of_points(self):
+        most = sys.maxsize // 24  # 3 float64 coordinates per point
+        for n in (most + 1, 10**20):
+            with pytest.raises(InvalidInputError, match="^n is too large for one array of points$"):
+                reference_spec(n=n)
+        assert reference_spec(n=most).n == most
+
+    @pytest.mark.parametrize("start, end", [
+        ([-1e308, 0.0, 0.0], [1e308, 1.0, 1.0]),
+        ([0.0, 1e308, 0.0], [0.0, -1e308, 1.0]),
+    ])
+    def test_end_minus_start_must_be_finite(self, start, end):
+        with pytest.raises(InvalidInputError, match="^end - start must be finite$"):
+            reference_spec(start=np.array(start), end=np.array(end))
+
+    @pytest.mark.parametrize("overrides", [
+        dict(sigma=1e308),
+        dict(start=np.full(3, 1.5e308), end=np.full(3, 1.7e308), sigma=1e307),
+    ])
+    def test_points_that_overflow(self, overrides):
+        with pytest.raises(InvalidInputError, match="^point coordinates must be finite$"):
+            generate_line_cloud(reference_spec(n=5, **overrides))
+
+    @pytest.mark.parametrize("scale", [1e308, 1e200, 1e-200, 5e-324])
+    def test_a_direction_whose_norm_overflows_or_underflows(self, scale):
+        sample = generate_line_cloud(reference_spec(end=np.full(3, scale), n=3, sigma=0.0))
+        assert np.abs(sample.true_direction - 1.0 / math.sqrt(3.0)).max() < 1e-15
+
+    def test_direction_has_the_bits_of_the_unscaled_quotient(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(2000):
+            delta = rng.standard_normal(3) * 10.0 ** rng.integers(-100, 101)
+            sample = generate_line_cloud(reference_spec(end=delta, n=2, sigma=0.0))
+            assert sample.true_direction.tobytes() == (delta / np.linalg.norm(delta)).tobytes()
+
+
+class TestNormalsInBlocks:
+    """``standard_normals`` draws at most ``_PAIRS`` uniform pairs at once,
+    so the same stream comes out at any block size and its memory is bound
+    by the block, not by the count."""
+
+    @pytest.mark.parametrize("pairs", [1, 3, 8, 100])
+    def test_the_stream_across_block_boundaries(self, monkeypatch, pairs):
+        expected = {count: standard_normals(count, 31) for count in (0, 1, 2, 7, 16, 17, 1001)}
+        monkeypatch.setattr(synthetic, "_PAIRS", pairs)
+        for count, z in expected.items():
+            assert standard_normals(count, 31).tobytes() == z.tobytes()
+
+    @pytest.mark.parametrize("pairs", [2**10, synthetic._PAIRS])
+    def test_peak_memory_is_bound_by_the_block(self, monkeypatch, pairs):
+        """A block's temporaries (its uniforms, their squared norms, the
+        accepted pairs, their factors and normals) take under 16 float64s
+        per pair."""
+        monkeypatch.setattr(synthetic, "_PAIRS", pairs)
+        standard_normals(1, 5)  # what a first call imports is not the draw's
+        tracemalloc.start()
+        try:
+            z = standard_normals(300_000, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= z.nbytes + 16 * 8 * pairs + 2**13

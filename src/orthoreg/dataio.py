@@ -11,7 +11,7 @@ Output is written a column at a time: ``_table`` %-formats a whole table
 from its columns, with no Python-level call per row. A cell that holds a
 comma, a quote, LF or CR is quoted, with its quotes doubled, as RFC 4180 asks
 (``_csv_cell``). ``_escaped`` quotes a column of labels, or escapes it for a
-report's JSON, cell by cell only where one search over a half of the column
+report's JSON, cell by cell only where one search over the whole column
 finds a cell that needs it; a float or an index never does.
 
 ``parse_cloud_csv`` first parses the data rows with ``np.loadtxt``.
@@ -36,7 +36,7 @@ Each half makes its own per-row Python objects. To parse, this process reads
 only the header; each half splits its own part of the body into lines, drops
 the empty ones, checks their length, takes its labels and runs
 ``np.loadtxt``. To write, each half converts its slice of a float column to
-Python floats, escapes its own labels and formats its own indices.
+Python floats and formats its own indices; labels are escaped beforehand.
 
 A delimiter is one character other than the quote ``"``, CR and LF
 (``check_delimiter``); a number cell is ASCII without ``_``, as
@@ -273,21 +273,15 @@ def _csv_cell(text: str) -> str:
 
 
 def _escaped(cells, pattern, escape):
-    """A label column of ``_table``: each half's str ``cells``, each as
-    ``escape`` writes it where ``pattern`` (a character that ``escape``
-    changes) is in some cell of the half; else the half's cells themselves,
-    found by one search with no call per cell. ``escape`` leaves a cell
-    without such a character as it is, so the halves write what one search
-    over the whole column would. A ``range`` of index labels is returned as
-    it is: digits and ``-`` need no escaping."""
-    if isinstance(cells, range):
+    """A label column of ``_table``: the str ``cells``, each as ``escape``
+    writes it, where ``pattern`` (a character that ``escape`` changes) is in
+    some cell; else the cells themselves, found by one search over the whole
+    column with no call per cell. ``escape`` leaves a cell without such a
+    character as it is. A ``range`` of index labels is returned as it is:
+    digits and ``-`` need no escaping."""
+    if isinstance(cells, range) or not pattern.search("".join(cells)):
         return cells
-
-    def column(lo: int, hi: int):
-        part = cells[lo:hi]
-        return list(map(escape, part)) if pattern.search("".join(part)) else part
-
-    return column
+    return list(map(escape, cells))
 
 
 def _csv_line(cells) -> str:
@@ -379,21 +373,19 @@ def _in_halves(work, n: int) -> list:
 
 
 def _cells(column, lo: int, hi: int):
-    """Rows ``lo`` to ``hi`` of one column of ``_table``: a function's
-    result, a float array's slice as Python floats, or a sequence's slice."""
-    if callable(column):
-        return column(lo, hi)
+    """Rows ``lo`` to ``hi`` of one column of ``_table``: a float array's
+    slice as Python floats, or a sequence's slice."""
     part = column[lo:hi]
     return part.tolist() if isinstance(part, np.ndarray) else part
 
 
 def _table(row: str, n: int, columns) -> str:
     """``row % cells`` for each of ``n`` rows of ``columns``, one %-format
-    per half of the table (``_in_halves``). A column is a sequence (such as a
-    ``range`` of indices), a float array, or a function of ``(lo, hi)`` that
-    returns the cells of those rows (``_escaped``); each half takes its own
-    rows of each (``_cells``), and the child's text crosses the pipe as a
-    pickle."""
+    per half of the table (``_in_halves``). A column is a float array or a
+    sequence (such as a ``range`` of indices, or labels that ``_escaped``
+    returned), whose every cell is decided before the split; each half only
+    takes its own rows of each (``_cells``) and formats them, and the
+    child's text crosses the pipe as a pickle."""
     def work(lo: int, hi: int) -> str:
         cells = chain.from_iterable(zip(*(_cells(column, lo, hi) for column in columns)))
         return (row * (hi - lo)) % tuple(cells)

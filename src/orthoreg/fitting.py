@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -126,32 +126,31 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class ResidualStats:
-    """Orthogonal-distance residual aggregates for a fitted flat."""
+    """Orthogonal-distance residual aggregates of a fitted flat, computed
+    from its one field, a non-empty vector of non-negative distances. +inf is
+    kept, so that ``total_orthogonal_error`` can name a distance beyond the
+    float range; an aggregate beyond it reads inf, with no numpy warning."""
 
     per_point_distance: np.ndarray
-    sum_sq: float
-    sum_abs: float
-    rms: float
-    root_sum_sq: float
+    sum_sq: float = field(init=False)
+    sum_abs: float = field(init=False)
+    rms: float = field(init=False)
+    root_sum_sq: float = field(init=False)
 
-    @classmethod
-    def from_distances(cls, distances) -> "ResidualStats":
+    def __post_init__(self):
         message = "residual stats need a non-empty vector of distances"
-        d = float_array(distances, (None,), message)
+        d = float_array(self.per_point_distance, (None,), message)
         if d.shape[0] < 1:
             raise InvalidInputError(message)
-        # min propagates NaN and allocates no mask; +inf stays, so that
-        # total_orthogonal_error can name a distance beyond the float range.
+        # min propagates NaN and allocates no mask.
         if not float(d.min()) >= 0.0:
             raise InvalidInputError("distances must be non-negative numbers")
-        sum_sq = float(d @ d)
-        return cls(
-            per_point_distance=d,
-            sum_sq=sum_sq,
-            sum_abs=float(d.sum()),
-            rms=math.sqrt(sum_sq / d.shape[0]),
-            root_sum_sq=math.sqrt(sum_sq),
-        )
+        with np.errstate(over="ignore"):
+            sum_sq, sum_abs = float(d @ d), float(d.sum())
+        aggregates = dict(per_point_distance=d, sum_sq=sum_sq, sum_abs=sum_abs,
+                          rms=math.sqrt(sum_sq / d.shape[0]), root_sum_sq=math.sqrt(sum_sq))
+        for name, value in aggregates.items():
+            object.__setattr__(self, name, value)
 
     def metric(self, name: str) -> float:
         """Value of one named aggregate (see ERROR_METRICS)."""
@@ -488,7 +487,7 @@ def fit_line(cloud: PointCloud) -> FittedLine:
     anchor, axes = _principal_axes(cloud, 1, "line")
     direction = axes[0]
     distances = _distances(cloud.points, anchor, direction, True)
-    return FittedLine(anchor, direction, ResidualStats.from_distances(distances))
+    return FittedLine(anchor, direction, ResidualStats(distances))
 
 
 def fit_hyperplane(cloud: PointCloud) -> FittedHyperplane:
@@ -510,7 +509,7 @@ def fit_hyperplane(cloud: PointCloud) -> FittedHyperplane:
     normal = axes[-1]
     offset = -float(normal @ c)
     distances = _distances(cloud.points, c, normal, False)
-    return FittedHyperplane(normal, c, offset, ResidualStats.from_distances(distances))
+    return FittedHyperplane(normal, c, offset, ResidualStats(distances))
 
 
 def _point_distance(p, origin: np.ndarray, u: np.ndarray, line: bool, what: str) -> float:
@@ -567,8 +566,7 @@ def total_orthogonal_error(cloud: PointCloud, model) -> ResidualStats:
     if cloud.dim != model.dim:
         raise InvalidInputError(f"cloud and {name} dimensions differ")
     distances = _checked_distances(cloud.points, origin, u, name == "line")
-    with np.errstate(over="ignore"):
-        stats = ResidualStats.from_distances(distances)
+    stats = ResidualStats(distances)
     if not math.isfinite(stats.sum_sq):
         raise InvalidInputError(
             f"points lie up to {float(distances.max()):.3g} from the {name}; a sum of "

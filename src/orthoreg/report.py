@@ -7,11 +7,13 @@ report object. The one special case is a fit's per-point rows: json and csv
 splice them, and text lists them, from the fit's labels and distances, not
 from a dict per point. Each of those blocks is written a column at a time
 by ``dataio._table``, so no Python-level call is made per point, and a large
-table is written in two halves at once, one by a forked child. Labels are
-escaped, as CSV cells or as JSON strings, by ``dataio._escaped``'s one rule.
-Each half converts its own distances to Python floats and escapes its own
-labels; a report of an unlabelled cloud keeps its labels as a ``range``
-(``_IndexLabels``), so each half also formats its own indices.
+table is written in two halves at once, one by a forked child. Every cell
+is decided before the split: ``dataio._escaped`` escapes a label column, as
+CSV cells or as JSON strings, by one search over the whole column, and json
+spells an infinite distance ``Infinity``. The halves only slice and format:
+each converts its own distances to Python floats, and a report of an
+unlabelled cloud keeps its labels as a ``range`` (``_IndexLabels``), so each
+half also formats its own indices.
 
 JSON and CSV write floats with ``repr`` (shortest round-tripping decimal
 form), so re-reading a report reproduces every numeric field exactly. The
@@ -25,6 +27,7 @@ BLAS may split its long dot products across threads.
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -83,8 +86,10 @@ class _IndexLabels(Sequence):
 
 @dataclass(frozen=True)
 class FitReport:
-    """Result of one fit: the model, the reported error, and one label per
-    distance in ``model.error.per_point_distance``.
+    """Result of one fit: the model and one label per distance in
+    ``model.error.per_point_distance``. Its ``err`` is the aggregate of those
+    distances that ``metadata["metric"]`` names, ``DEFAULT_ERROR_METRIC``
+    where it names none; an unknown metric is an InvalidInputError.
 
     ``labels`` reads as a sequence of ``str``, as in PointCloud. A ``range``
     (``build_fit_report``'s labels for an unlabelled cloud) is kept as the
@@ -96,7 +101,6 @@ class FitReport:
     """
 
     model: FittedLine | FittedHyperplane
-    err: float
     labels: Sequence[str]
     metadata: dict = field(default_factory=dict)
     cloud: PointCloud | None = None
@@ -110,6 +114,11 @@ class FitReport:
         if len(labels) != len(self.model.error.per_point_distance):
             raise InvalidInputError("report labels must match the per-point distances")
         object.__setattr__(self, "labels", labels)
+        self.err  # InvalidInputError for an unknown metric
+
+    @property
+    def err(self) -> float:
+        return self.model.error.metric(self.metadata.get("metric", DEFAULT_ERROR_METRIC))
 
     @property
     def per_point(self) -> tuple[tuple[str, float], ...]:
@@ -120,7 +129,6 @@ class FitReport:
 def build_fit_report(cloud: PointCloud, model, metric: str, metadata: dict) -> FitReport:
     return FitReport(
         model=model,
-        err=model.error.metric(metric),
         labels=cloud.labels or range(len(cloud)),
         metadata={**metadata, "metric": metric, "version": __version__},
         cloud=cloud,
@@ -163,9 +171,10 @@ def report_to_dict(report: FitReport) -> dict:
 
 
 def report_from_dict(data: dict) -> FitReport:
-    """Rebuild a report from its dict form (the cloud is not recoverable)."""
+    """Rebuild a report from its dict form (the cloud is not recoverable).
+    Its residuals and ``err`` are computed again from the distances."""
     m = data["model"]
-    stats = ResidualStats.from_distances([p["distance"] for p in data["per_point"]])
+    stats = ResidualStats([p["distance"] for p in data["per_point"]])
     if m["geometry"] == "line":
         model = FittedLine(anchor=m["anchor"], direction=m["direction"], error=stats)
     elif m["geometry"] == "plane":
@@ -176,14 +185,10 @@ def report_from_dict(data: dict) -> FitReport:
         raise InvalidInputError(f"unknown geometry {m['geometry']!r}")
     return FitReport(
         model=model,
-        err=float(data["err"]),
         labels=tuple(p["label"] for p in data["per_point"]),
         metadata=dict(data.get("metadata", {})),
     )
 
-
-#: json.dumps' spelling of the non-finite floats (allow_nan=True).
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 #: The characters that ``encode_basestring_ascii`` escapes: all but printable
 #: ASCII other than the quote and the backslash.
@@ -197,24 +202,19 @@ _JSON_ITEM = '\n    {\n      "label": "%s",\n      "distance": %s\n    },'
 
 def _to_json(data: dict, points=None) -> str:
     """``json.dumps(data, indent=2)``; a fit's ``points`` (labels, distances)
-    are the items of ``data``'s empty ``per_point`` list, one ``_table``.
-    Where a distance is not finite, json.dumps' spellings of nan and the
-    infinities are applied in each half; a finite distance keeps its
-    ``repr``."""
+    are the items of ``data``'s empty ``per_point`` list, one ``_table``. A
+    distance is written as its ``repr``, and +inf, the one non-finite
+    distance a ``ResidualStats`` holds, as json.dumps' ``Infinity``."""
     text = json.dumps(data, indent=2) + "\n"
-    if points is None or not points[0]:
+    if points is None:
         return text
     labels, distances = points
     labels = _escaped(labels, _JSON_ESCAPED, lambda s: encode_basestring_ascii(s)[1:-1])
-    column = distances
-    if not np.isfinite(distances).all():
-        def column(lo: int, hi: int):
-            values = distances[lo:hi].tolist()
-            return list(map(_JSON_NON_FINITE.get, map(repr, values), values))
-
+    if distances.max() == math.inf:
+        distances = ["Infinity" if d == math.inf else d for d in distances.tolist()]
     # The first match is the key: a quote inside a JSON string is escaped.
     head, _, tail = text.partition('"per_point": []')
-    body = _table(_JSON_ITEM, len(distances), (labels, column))
+    body = _table(_JSON_ITEM, len(distances), (labels, distances))
     return "".join((head, '"per_point": [', body[:-1], "\n  ]", tail))
 
 

@@ -114,18 +114,24 @@ def generate_line_cloud(spec: LineCloudSpec) -> LineCloudSample:
     Stations are t = i/(n-1) for i = 0..n-1; the point is
     start + t*(end-start) + sigma*z_i with z_i a standard-normal 3-vector.
     sigma = 0 skips the noise stream entirely, so the points are exactly
-    collinear. A point that overflows float64 is an InvalidInputError, with
-    no numpy warning. The true direction is ``end - start`` scaled by a
-    power of two, which is exact, before it is normalised, so its norm
-    cannot overflow.
+    collinear; the noise is scaled and added in place. A point that
+    overflows float64 is an InvalidInputError, with no numpy warning, as is
+    an n whose points cannot be allocated. The true direction is ``end -
+    start`` scaled by a power of two, which is exact, before it is
+    normalised, so its norm cannot overflow.
     """
     delta = spec.end - spec.start
-    t = np.arange(spec.n, dtype=float) / (spec.n - 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        points = spec.start + np.outer(t, delta)
-        if spec.sigma > 0.0:
-            noise = standard_normals(3 * spec.n, spec.seed).reshape(spec.n, 3)
-            points = points + spec.sigma * noise
+    try:
+        t = np.arange(spec.n, dtype=float) / (spec.n - 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            points = np.multiply.outer(t, delta)
+            points += spec.start
+            if spec.sigma > 0.0:
+                noise = standard_normals(3 * spec.n, spec.seed).reshape(spec.n, 3)
+                noise *= spec.sigma
+                points += noise
+    except MemoryError:
+        raise InvalidInputError("n is too large: its points do not fit in memory") from None
     scaled = _power_of_two_scaled(delta)
     direction = scaled / np.linalg.norm(scaled)
     return LineCloudSample(

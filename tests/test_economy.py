@@ -41,7 +41,7 @@ def plane_from_normal(normal, country="XX"):
         normal=n,
         centroid=np.zeros(3),
         offset=0.0,
-        error=ResidualStats.from_distances([0.0]),
+        error=ResidualStats([0.0]),
     )
     return EconomyPlane(country=country, plane=model, yearly_distances={}, err_reported=0.0)
 

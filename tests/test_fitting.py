@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -328,7 +329,7 @@ class TestFitHyperplane:
 
 
 class TestFittedFlats:
-    STATS = ResidualStats.from_distances([0.0])
+    STATS = ResidualStats([0.0])
 
     @pytest.mark.parametrize("u", [[2.0, 0.0], [1.0 + 1e-11, 0.0], [0.0, 0.0], [np.nan, 1.0]])
     def test_vector_of_other_than_unit_length_rejected(self, u):
@@ -367,7 +368,7 @@ class TestFittedFlats:
     @pytest.mark.parametrize("distances", [[], np.zeros((0, 2)), 1.0])
     def test_stats_need_a_non_empty_vector(self, distances):
         with pytest.raises(InvalidInputError, match="non-empty vector of distances"):
-            ResidualStats.from_distances(distances)
+            ResidualStats(distances)
 
     @pytest.mark.parametrize("origin", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 1.0]])
     def test_non_finite_anchor_or_centroid_rejected(self, origin):
@@ -379,11 +380,25 @@ class TestFittedFlats:
     @pytest.mark.parametrize("distances", [[np.nan], [0.0, -1.0], [1.0, np.nan, 2.0], [-np.inf]])
     def test_stats_reject_nan_and_negative_distances(self, distances):
         with pytest.raises(InvalidInputError, match="^distances must be non-negative numbers$"):
-            ResidualStats.from_distances(distances)
+            ResidualStats(distances)
 
     def test_stats_keep_infinite_distances(self):
-        stats = ResidualStats.from_distances([0.0, np.inf])
+        stats = ResidualStats([0.0, np.inf])
         assert stats.sum_abs == stats.sum_sq == np.inf
+
+    def test_stats_are_computed_from_the_distances_alone(self):
+        stats = ResidualStats([3.0, 4.0])
+        assert stats.per_point_distance.tolist() == [3.0, 4.0]
+        assert (stats.sum_sq, stats.sum_abs, stats.root_sum_sq) == (25.0, 7.0, 5.0)
+        assert stats.rms == math.sqrt(12.5)
+        with pytest.raises(TypeError):
+            ResidualStats([3.0, 4.0], 25.0, 7.0, math.sqrt(12.5), 5.0)
+
+    def test_aggregates_beyond_the_float_range_read_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = ResidualStats([1e308, 1e308])
+        assert stats.sum_sq == stats.sum_abs == stats.rms == stats.root_sum_sq == math.inf
 
 
 class TestDistances:
@@ -551,7 +566,7 @@ class TestBlockedResiduals:
             (plane, reference_plane_distances(cloud.points, plane.centroid, plane.normal)),
         ]
         for model, expected in cases:
-            expected = ResidualStats.from_distances(expected)
+            expected = ResidualStats(expected)
             for stats in (model.error, total_orthogonal_error(cloud, model)):
                 assert stats.per_point_distance.tobytes() == expected.per_point_distance.tobytes()
                 assert (stats.sum_sq, stats.sum_abs) == (expected.sum_sq, expected.sum_abs)
@@ -855,7 +870,7 @@ class TestFarPoints:
 
     def test_offset_beyond_the_float_range(self):
         """``p - origin`` overflows, yet the distance is small."""
-        stats = ResidualStats.from_distances([0.0])
+        stats = ResidualStats([0.0])
         line = FittedLine(np.array([-1e308, 0.0]), np.array([1.0, 0.0]), stats)
         plane = FittedHyperplane(np.array([0.0, 1.0]), np.array([-1e308, 2.0]), -2.0, stats)
         cloud = PointCloud([[1.7e308, 3.0], [1.7e308, 2.0], [0.0, 2.5]])

@@ -124,11 +124,11 @@ class TestSameBitsAndBytes:
     def test_render_fit(self, forks):
         """json.dumps, one csv.writer row per key and one formatted text
         line per point."""
-        distances = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 2.5]
+        distances = [math.inf, -0.0, 5e-324, 1e16, 1e-5, 2.5, math.inf, 0.1]
         labels = (_ODD_LABELS * 2)[: len(distances)]
-        stats = ResidualStats(np.array(distances), 1.0, 2.0, 0.5, 1.0)
+        stats = ResidualStats(np.array(distances))
         model = FittedLine(np.array([1.0, 2.0]), np.array([0.6, 0.8]), stats)
-        report = FitReport(model, 2.0, labels)
+        report = FitReport(model, labels)
         data = report_to_dict(report)
         assert render_fit(report, "json") == json.dumps(data, indent=2) + "\n"
         pairs = []
@@ -141,9 +141,9 @@ class TestSameBitsAndBytes:
     @pytest.mark.parametrize("labels, distances", [
         pytest.param(["a", "b", "c", 'd"', "e\\", "fé"], [0.5] * 6,
                      id="only the second half's labels need escaping"),
-        pytest.param(["a", "b", "c", "d", "e", "f"], [-math.inf, math.nan, math.inf, 1.0, 2.0, 3.0],
+        pytest.param(["a", "b", "c", "d", "e", "f"], [math.inf, 0.5, math.inf, 1.0, 2.0, 3.0],
                      id="only the first half holds a non-finite distance"),
-        pytest.param(["a", "b", "c", "d", "e", "f"], [1.0, 2.0, 3.0, math.nan, math.inf, 0.5],
+        pytest.param(["a", "b", "c", "d", "e", "f"], [1.0, 2.0, 3.0, 0.25, math.inf, 0.5],
                      id="only the second half holds a non-finite distance"),
         pytest.param(["a", "b"], [1e308, 1e308], id="finite distances whose sum overflows"),
         pytest.param(['"', "\\", "\x1f", "\x7f", "é", "\ud800", "%", "%s"], [0.25] * 8,
@@ -152,9 +152,8 @@ class TestSameBitsAndBytes:
     def test_render_fit_json(self, forks, labels, distances):
         """A label column is escaped, and the non-finite distances spelt,
         by one decision over the whole table, not per half."""
-        stats = ResidualStats(np.array(distances), 1.0, 2.0, 0.5, 1.0)
-        report = FitReport(FittedLine(np.array([1.0, 2.0]), np.array([0.6, 0.8]), stats), 2.0,
-                           labels)
+        stats = ResidualStats(np.array(distances))
+        report = FitReport(FittedLine(np.array([1.0, 2.0]), np.array([0.6, 0.8]), stats), labels)
         assert render_fit(report, "json") == json.dumps(report_to_dict(report), indent=2) + "\n"
         assert len(forks) == 1
 
@@ -177,7 +176,7 @@ def _kv_csv(data):
 
 
 def _line(distances):
-    stats = ResidualStats.from_distances(distances)
+    stats = ResidualStats(distances)
     return FittedLine(np.array([1.0, 2.0]), np.array([0.6, 0.8]), stats)
 
 
@@ -191,7 +190,7 @@ class TestEachHalfOwnsItsRows:
         labels = [f"p{i}" for i in range(8)]
         labels[row] = odd
         points = np.random.default_rng(row).standard_normal((8, 2))
-        report = FitReport(_line(np.abs(points[:, 0])), 1.0, labels)
+        report = FitReport(_line(np.abs(points[:, 0])), labels)
         cloud = PointCloud(points, labels=labels)
         expected = {
             "json": json.dumps(report_to_dict(report), indent=2) + "\n",
@@ -230,7 +229,7 @@ class TestEachHalfOwnsItsRows:
         data = report_to_dict(index)
         assert data == report_to_dict(named)
         assert {type(point["label"]) for point in data["per_point"]} == {str}
-        assert FitReport(model, 1.0, range(n)).labels == names
+        assert FitReport(model, range(n)).labels == names
 
     @staticmethod
     def _fault(row, fault):

@@ -29,7 +29,7 @@ from orthoreg.report import build_fit_report, render_fit, report_from_dict, repo
 from orthoreg.svg import polyline_chart, scatter_chart
 from orthoreg.synthetic import LineCloudSpec
 
-STATS = ResidualStats.from_distances([0.0, 1.0])
+STATS = ResidualStats([0.0, 1.0])
 LINE = FittedLine([0.0, 0.0], [1.0, 0.0], STATS)
 PLANE = FittedHyperplane([0.0, 1.0], [0.0, 0.0], 0.0, STATS)
 VECTOR_RANK_WRONG = [[1.0, 2.0]]
@@ -41,7 +41,7 @@ ENTRY_POINTS = [
     ("PointCloud.from_columns", lambda v: PointCloud.from_columns(v, [1.0, 2.0]), VECTOR_RANK_WRONG),
     ("PointCloud.from_columns-second", lambda v: PointCloud.from_columns([1.0, 2.0], v),
      VECTOR_RANK_WRONG),
-    ("ResidualStats.from_distances", ResidualStats.from_distances, VECTOR_RANK_WRONG),
+    ("ResidualStats", ResidualStats, VECTOR_RANK_WRONG),
     ("FittedLine-anchor", lambda v: FittedLine(v, [1.0, 0.0], STATS), VECTOR_RANK_WRONG),
     ("FittedLine-direction", lambda v: FittedLine([0.0, 0.0], v, STATS), VECTOR_RANK_WRONG),
     ("FittedHyperplane-normal", lambda v: FittedHyperplane(v, [0.0, 0.0], 0.0, STATS),
@@ -128,7 +128,7 @@ class TestIndicatorYears:
 
 def test_report_with_int_labels_renders_like_str_labels():
     cloud = PointCloud([[0.0, 0.0], [1.0, 1.0], [2.0, 2.5]], labels=("1994", "1995", "1996"))
-    model = FittedLine([1.0, 1.0], [0.6, 0.8], ResidualStats.from_distances([0.5, 0.0, 0.25]))
+    model = FittedLine([1.0, 1.0], [0.6, 0.8], ResidualStats([0.5, 0.0, 0.25]))
     report = build_fit_report(cloud, model, "sum_abs", {"geometry": "line"})
     data = report_to_dict(report)
     for point in data["per_point"]:

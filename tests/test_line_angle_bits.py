@@ -124,7 +124,7 @@ def plane_records():
     yield encode(indicators.pairwise_angles_deg)
     yield encode(indicators.slopes)
     planes = list(indicators.planes)
-    stats = ResidualStats.from_distances([0.0, 0.0, 0.0])
+    stats = ResidualStats([0.0, 0.0, 0.0])
     normals = [
         [-0.0, 0.6, -0.8], [0.0, -0.0, 1.0], [-1.0, 0.0, -0.0], [0.36, 0.48, 0.8],
         [0.0, 0.0, -1.0], [-0.6, -0.0, 0.8], [2.0 / 3.0, -2.0 / 3.0, 1.0 / 3.0],

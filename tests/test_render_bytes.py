@@ -27,7 +27,7 @@ def line_report():
     cloud = PointCloud([[0.0, 0.5], [3.0, 4.0], [6.25, 8.0]], labels=("p", "q", "r"))
     model = FittedLine(
         np.array([3.0, 4.0]), np.array([0.6, 0.8]),
-        ResidualStats.from_distances([0.5, 0.0, 0.25]),
+        ResidualStats([0.5, 0.0, 0.25]),
     )
     metadata = {"input": "points.csv", "columns": ["x", "y"], "geometry": "line"}
     return build_fit_report(cloud, model, "sum_abs", metadata)
@@ -40,7 +40,7 @@ def plane_report():
     )
     model = FittedHyperplane(
         np.array([0.0, 0.0, 1.0]), np.array([0.5, 0.0, 0.0]), -0.0,
-        ResidualStats.from_distances([0.5, 0.25, 0.0, 0.25]),
+        ResidualStats([0.5, 0.25, 0.0, 0.25]),
     )
     metadata = {"input": "builtin:v4", "country": "SK", "columns": ["u", "g", "i"],
                 "geometry": "plane"}
@@ -51,7 +51,7 @@ def line3d_report():
     cloud = PointCloud([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [2.0, 1.0, 4.0]])
     model = FittedLine(
         np.array([1.0, 0.5, 2.0]), np.array([0.6, 0.0, 0.8]),
-        ResidualStats.from_distances([0.5, 1.0, 0.5]),
+        ResidualStats([0.5, 1.0, 0.5]),
     )
     return build_fit_report(cloud, model, "sum_sq", {"columns": None, "geometry": "line"})
 
@@ -64,7 +64,7 @@ def comparison():
         conjugate=None,
         tls=FittedLine(
             np.array([1.5, 1.0]), np.array([0.8, 0.6]),
-            ResidualStats.from_distances([0.25, 0.5, 0.125, 0.0]),
+            ResidualStats([0.25, 0.5, 0.125, 0.0]),
         ),
         angle_ols_conjugate_deg=None,
         angle_ols_tls_deg=0.5,
@@ -76,7 +76,7 @@ def comparison():
 
 def economy():
     def plane(country, normal, centroid, distances, years):
-        stats = ResidualStats.from_distances(distances)
+        stats = ResidualStats(distances)
         return EconomyPlane(
             country=country,
             plane=FittedHyperplane(np.array(normal), np.array(centroid), 0.25, stats),

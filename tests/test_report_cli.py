@@ -8,6 +8,7 @@ import sys
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import SimpleNamespace
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -44,7 +45,7 @@ from orthoreg.report import (
     report_to_dict,
     scene_dict,
 )
-from orthoreg.svg import PALETTE, _escape, _Frame, nice_ticks, scatter_chart
+from orthoreg.svg import PALETTE, _escape, _Frame, nice_ticks, polyline_chart, scatter_chart
 
 from _helpers import LABELS, reference_csv
 
@@ -122,6 +123,34 @@ class TestReportSerialization:
         assert (back.model.normal == report.model.normal).all()
         assert back.model.offset == report.model.offset
 
+    @pytest.mark.parametrize("metric", ["sum_sq", "root_sum_sq", "rms", "sum_abs", None])
+    def test_err_is_the_aggregate_the_metadata_names(self, five_csv, metric):
+        model = csv_report(five_csv, "line").model
+        metadata = {} if metric is None else {"metric": metric}
+        report = FitReport(model, range(5), metadata)
+        assert report.err == model.error.metric(metric or "sum_abs")
+        data = report_to_dict(report)
+        data["err"] = -1.0  # read back from the distances, as the residuals are
+        assert report_from_dict(data).err == report.err
+
+    def test_an_unknown_metric_is_invalid(self, five_csv):
+        model = csv_report(five_csv, "line").model
+        with pytest.raises(InvalidInputError, match="^unknown error metric 'max'$"):
+            FitReport(model, range(5), {"metric": "max"})
+        with pytest.raises(TypeError):
+            FitReport(model=model, err=1.0, labels=range(5))
+
+    def test_unknown_model_geometry_or_format_is_invalid(self, five_csv):
+        report = csv_report(five_csv, "line")
+        with pytest.raises(InvalidInputError, match="^model must be a FittedLine or FittedHyperplane$"):
+            report_to_dict(dataclasses.replace(report, model=SimpleNamespace(error=report.model.error)))
+        data = report_to_dict(report)
+        data["model"]["geometry"] = "circle"
+        with pytest.raises(InvalidInputError, match="^unknown geometry 'circle'$"):
+            report_from_dict(data)
+        with pytest.raises(InvalidInputError, match="^unknown output format 'xml'$"):
+            render_fit(report, "xml")
+
     def test_empty_per_point_is_invalid(self, five_csv):
         data = report_to_dict(csv_report(five_csv, "line"))
         data["per_point"] = []
@@ -144,12 +173,12 @@ class TestReportSerialization:
             zip(report.labels, report.model.error.per_point_distance.tolist())
         )
         with pytest.raises(InvalidInputError, match="labels must match"):
-            FitReport(model=report.model, err=report.err, labels=report.labels[:-1])
+            FitReport(model=report.model, labels=report.labels[:-1])
 
     def test_err_recomputable_from_per_point(self, five_csv):
         for metric in ("sum_sq", "root_sum_sq", "rms", "sum_abs"):
             report = csv_report(five_csv, "line", metric)
-            stats = ResidualStats.from_distances([d for _, d in report.per_point])
+            stats = ResidualStats([d for _, d in report.per_point])
             assert abs(stats.metric(metric) - report.err) <= 1e-12 * (1.0 + report.err)
 
 
@@ -161,9 +190,7 @@ def _kv_csv_reference(data):
 
 
 #: Distances that repr, json and "%.4f" each spell in their own way.
-_DISTANCES = st.sampled_from(
-    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5]
-) | st.floats()
+_DISTANCES = st.sampled_from([math.inf, -0.0, 5e-324, 1e16, 1e-5]) | st.floats(min_value=0.0)
 
 
 class TestFitRenderMatchesDictRender:
@@ -190,17 +217,11 @@ class TestFitRenderMatchesDictRender:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(LABELS, _DISTANCES), min_size=1, max_size=8))
     def test_any_labels_and_distances(self, points):
-        """Stats built field by field can hold distances no fit yields."""
+        """Any distances a ResidualStats holds, +inf and -0.0 among them."""
         labels, distances = zip(*points)
-        stats = ResidualStats(np.array(distances), 1.0, 2.0, 0.5, 1.0)
+        stats = ResidualStats(np.array(distances))
         model = FittedLine(np.array([1.0, 2.0]), np.array([0.6, 0.8]), stats)
-        self.assert_renders_match(FitReport(model=model, err=2.0, labels=labels))
-
-    def test_no_points(self):
-        """json.dumps writes an empty per_point list as []."""
-        stats = ResidualStats(np.array([]), 0.0, 0.0, 0.0, 0.0)
-        model = FittedLine(np.array([1.0, 2.0]), np.array([0.6, 0.8]), stats)
-        self.assert_renders_match(FitReport(model=model, err=0.0, labels=()))
+        self.assert_renders_match(FitReport(model=model, labels=labels))
 
     def test_a_cr_in_a_label_reads_back_as_lf(self, five_csv):
         report = csv_report(five_csv, "line")
@@ -213,20 +234,23 @@ class TestFitRenderMatchesDictRender:
         self.assert_renders_match(csv_report(five_csv, "line"))
 
     def test_non_finite_distances(self, five_csv):
-        """No fit yields NaN or negative distances, and ``report_from_dict``
-        rejects them, but stats built field by field can hold them."""
+        """No fit yields NaN or negative distances, and neither
+        ``report_from_dict`` nor ``ResidualStats`` takes them. +inf is kept,
+        and json spells it Infinity."""
         report = csv_report(five_csv, "line")
         data = report_to_dict(report)
         for point, d in zip(data["per_point"], [float("inf"), float("nan"), -float("inf")]):
             point["distance"] = d
         with pytest.raises(InvalidInputError, match="non-negative"):
             report_from_dict(data)
-        stats = dataclasses.replace(
-            report.model.error, per_point_distance=np.array([p["distance"] for p in data["per_point"]])
-        )
-        report = dataclasses.replace(report, model=dataclasses.replace(report.model, error=stats))
+        with pytest.raises(InvalidInputError, match="non-negative"):
+            dataclasses.replace(
+                report.model.error, per_point_distance=[p["distance"] for p in data["per_point"]]
+            )
+        data["per_point"][1]["distance"] = data["per_point"][2]["distance"] = 0.5
+        report = report_from_dict(data)
         self.assert_renders_match(report)
-        assert '"distance": NaN' in render_fit(report, "json")
+        assert '"distance": Infinity' in render_fit(report, "json")
 
     def test_json_label_search_finds_what_json_dumps_escapes(self):
         """A label column is escaped whole where this search finds one
@@ -272,6 +296,19 @@ class TestSvg:
     def test_no_points_rejected(self):
         with pytest.raises(InvalidInputError):
             scatter_chart(np.empty((0, 2)))
+
+    def test_a_fit_report_without_its_cloud_is_not_plotted(self, five_csv):
+        report = report_from_dict(report_to_dict(csv_report(five_csv, "line")))
+        with pytest.raises(InvalidInputError, match="^fit report carries no data points to plot$"):
+            emit_plot_svg(report)
+        with pytest.raises(InvalidInputError, match="^expected a FitReport or ComparisonReport$"):
+            emit_plot_svg(report.model)
+
+    def test_polyline_chart_needs_a_series_with_points(self):
+        with pytest.raises(InvalidInputError, match="^series 'a' needs one y value per x value"):
+            polyline_chart([("a", [], [])])
+        with pytest.raises(InvalidInputError, match="^polyline_chart needs at least one series$"):
+            polyline_chart([])
 
     def test_clip_line(self):
         frame = _Frame(0.0, 10.0, 0.0, 10.0)
@@ -781,6 +818,36 @@ class TestCliExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "field larger than field limit" in captured.err
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["fit", "--columns", ","], 2, "argument --columns: empty column list"),
+        (["fit", "--projection", "1"], 2, "argument --projection: projection must be two indices i,j"),
+        (["fit", "--projection", "a,b"], 2,
+         "argument --projection: projection indices must be integers"),
+        (["gen-bumblebee", "--start=1,2", "--end=1,1,1"], 2,
+         "argument --start: expected three comma-separated coordinates"),
+        (["gen-bumblebee", "--start=a,b,c", "--end=1,1,1"], 2,
+         "argument --start: coordinates must be numbers"),
+        # 2.4e18 bytes of points exceed the address space, so their
+        # allocation is refused outright, never granted and touched.
+        (["gen-bumblebee", "--start=0,0,0", "--end=1,1,1", "--n", "100000000000000000"], 3,
+         "n is too large: its points do not fit in memory"),
+    ], ids=["empty-columns", "one-projection-index", "non-integer-projection", "two-coordinates",
+            "non-numeric-coordinates", "n-beyond-the-address-space"])
+    def test_one_error_line(self, five_csv, capsys, argv, code, message):
+        if argv[0] == "fit":
+            argv = [*argv, "--input", five_csv, "--geometry", "line"]
+        assert main(argv) == code
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_header_beyond_the_csv_field_limit_is_3(self, tmp_path, capsys):
+        """The bulk parser leaves such a header to the row parser, which
+        names the error."""
+        f = tmp_path / "long_header.csv"
+        f.write_text("x,y" + "z" * csv.field_size_limit() + "\n1,2\n3,4\n", encoding="utf-8")
+        assert main(["fit", "--input", str(f), "--geometry", "line"]) == 3
+        limit = csv.field_size_limit()
+        assert capsys.readouterr() == ("", f"error: line 1: field larger than field limit ({limit})\n")
 
     @pytest.mark.parametrize("columns", ["\u00b2,y", "\u0661,y"])
     def test_non_ascii_digit_column_is_3(self, five_csv, capsys, columns):

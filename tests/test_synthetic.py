@@ -160,6 +160,14 @@ class TestHostileSpecs:
                 reference_spec(n=n)
         assert reference_spec(n=most).n == most
 
+    def test_n_whose_points_cannot_be_allocated(self):
+        """2.4e18 bytes of points pass the spec, but exceed the address
+        space, so the allocation is refused outright, never granted and
+        touched."""
+        spec = reference_spec(n=10**17)
+        with pytest.raises(InvalidInputError, match="^n is too large: its points do not fit in memory$"):
+            generate_line_cloud(spec)
+
     @pytest.mark.parametrize("start, end", [
         ([-1e308, 0.0, 0.0], [1e308, 1.0, 1.0]),
         ([0.0, 1e308, 0.0], [0.0, -1e308, 1.0]),
@@ -215,3 +223,24 @@ class TestNormalsInBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= z.nbytes + 16 * 8 * pairs + 2**13
+
+
+def test_cloud_peak_memory_is_under_three_clouds():
+    """The points and their noise are each one (n, 3) array, and the noise
+    is scaled and added in place: with the stations and the normals' blocks
+    the peak stays under three clouds' bytes, with the bits of
+    ``start + outer(t, end - start) + sigma * noise``."""
+    n = 100_000
+    spec = reference_spec(n=n, sigma=0.5, seed=1)
+    generate_line_cloud(reference_spec(n=10))  # what a first call imports is not the draw's
+    tracemalloc.start()
+    try:
+        points = generate_line_cloud(spec).cloud.points
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 24 * n
+    t = np.arange(n, dtype=float) / (n - 1)
+    noise = standard_normals(3 * n, spec.seed).reshape(n, 3)
+    expected = spec.start + np.outer(t, spec.end - spec.start) + spec.sigma * noise
+    assert points.tobytes() == expected.tobytes()

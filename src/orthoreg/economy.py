@@ -7,7 +7,8 @@ year-by-year points form a phase trajectory; for the embedded V4 dataset
 close to a plane, so the plane's unit normal, the data centroid, and the
 approximation error act as compact whole-economy indicators. Pairwise angles
 between country planes and the slopes of each plane against the coordinate
-planes are derived indicators.
+planes are derived indicators. ``EconomyPlane`` and ``EconomyIndicators``
+compute each of these figures from the fitted planes they hold.
 
 The reported error is the sum of absolute point-to-plane distances; of the
 residual aggregates in ``fitting.ERROR_METRICS`` it is the one that
@@ -20,7 +21,7 @@ inconsistent for HU, so HU plane values are documented as derived only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,26 +94,28 @@ class IndicatorSeries:
     inflation: tuple[float, ...]
 
     def __post_init__(self):
+        if not isinstance(self.country, str):
+            raise InvalidInputError(f"country code must be a str, not {type(self.country).__name__}")
         message = f"{self.country}: years must be a vector of integers"
         years = float_array(self.years, (None,), message).tolist()
         if not all(map(float.is_integer, years)):
             raise InvalidInputError(message)
         years = tuple(map(int, years))
         values = {}
-        for field in STATE_VARIABLES:
-            message = f"{field} length must match years"
-            values[field] = tuple(float_array(getattr(self, field), (len(years),), message).tolist())
+        for name in STATE_VARIABLES:
+            message = f"{name} length must match years"
+            values[name] = tuple(float_array(getattr(self, name), (len(years),), message).tolist())
         if len(set(years)) != len(years):
             raise InvalidInputError(f"{self.country}: duplicate years in series")
         if any(b <= a for a, b in zip(years, years[1:])):
             order = sorted(range(len(years)), key=years.__getitem__)
             years = tuple(years[i] for i in order)
             values = {
-                field: tuple(column[i] for i in order) for field, column in values.items()
+                name: tuple(column[i] for i in order) for name, column in values.items()
             }
         object.__setattr__(self, "years", years)
-        for field, column in values.items():
-            object.__setattr__(self, field, column)
+        for name, column in values.items():
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
         return len(self.years)
@@ -120,21 +123,50 @@ class IndicatorSeries:
 
 @dataclass(frozen=True)
 class EconomyPlane:
-    """Fitted state-space plane of one economy plus its per-year distances."""
+    """Fitted state-space plane of one economy, with its per-year distances
+    and the error aggregate ``metric`` names, both computed from the plane."""
 
     country: str
     plane: FittedHyperplane
-    yearly_distances: dict[int, float]
-    err_reported: float
+    years: tuple[int, ...]
+    metric: str = DEFAULT_ERROR_METRIC
+    yearly_distances: dict[int, float] = field(init=False)
+    err_reported: float = field(init=False)
+
+    def __post_init__(self):
+        years, distances = tuple(self.years), self.plane.error.per_point_distance
+        if self.plane.dim != len(STATE_VARIABLES):
+            raise InvalidInputError(f"{self.country}: an economy plane must be 3-D")
+        if len(set(years)) != len(years) or len(years) != len(distances):
+            raise InvalidInputError(f"{self.country}: years must match the distances one to one")
+        object.__setattr__(self, "years", years)
+        object.__setattr__(self, "yearly_distances", dict(zip(years, distances.tolist())))
+        object.__setattr__(self, "err_reported", self.plane.error.metric(self.metric))
 
 
 @dataclass(frozen=True)
 class EconomyIndicators:
-    """Plane descriptors for a set of economies and the derived indicators."""
+    """Plane descriptors for a set of economies and the indicators derived
+    from them. InvalidInputError if a country code repeats."""
 
     planes: tuple[EconomyPlane, ...]
-    pairwise_angles_deg: np.ndarray
-    slopes: dict[str, tuple[float, float, float]]
+    pairwise_angles_deg: np.ndarray = field(init=False)
+    slopes: dict[str, tuple[float, float, float]] = field(init=False)
+
+    def __post_init__(self):
+        planes = tuple(self.planes)
+        codes = [p.country for p in planes]
+        for i, code in enumerate(codes):
+            if code in codes[:i]:
+                raise InvalidInputError(f"{code}: country code repeated")
+        n = len(planes)
+        angles = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                angles[i, j] = angles[j, i] = plane_angle(planes[i], planes[j])
+        object.__setattr__(self, "planes", planes)
+        object.__setattr__(self, "pairwise_angles_deg", angles)
+        object.__setattr__(self, "slopes", {p.country: plane_slopes(p) for p in planes})
 
     @property
     def countries(self) -> tuple[str, ...]:
@@ -166,14 +198,7 @@ def economy_plane(series: IndicatorSeries, metric: str = DEFAULT_ERROR_METRIC) -
     except OrthoregError as exc:  # same class and fields, the message names the country
         exc.args = (f"{series.country}: {exc}",)
         raise
-    distances = plane.error.per_point_distance
-    yearly = {year: float(d) for year, d in zip(series.years, distances)}
-    return EconomyPlane(
-        country=series.country,
-        plane=plane,
-        yearly_distances=yearly,
-        err_reported=plane.error.metric(metric),
-    )
+    return EconomyPlane(series.country, plane, series.years, metric)
 
 
 def plane_angle(a: EconomyPlane, b: EconomyPlane) -> float:
@@ -193,25 +218,9 @@ def plane_slopes(p: EconomyPlane) -> tuple[float, float, float]:
     return tuple(_acute_angle_deg(float(normal @ n), normal, n) for n in axes)
 
 
-def economy_indicators(
-    series_list, metric: str = DEFAULT_ERROR_METRIC
-) -> EconomyIndicators:
-    """Fit all planes and assemble the derived indicator set, input order kept.
-    InvalidInputError if a country code repeats: the slopes are keyed by it."""
-    series_list = tuple(series_list)
-    seen = set()
-    for s in series_list:
-        if s.country in seen:
-            raise InvalidInputError(f"{s.country}: country code repeated")
-        seen.add(s.country)
-    planes = tuple(economy_plane(s, metric=metric) for s in series_list)
-    n = len(planes)
-    angles = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            angles[i, j] = angles[j, i] = plane_angle(planes[i], planes[j])
-    slopes = {p.country: plane_slopes(p) for p in planes}
-    return EconomyIndicators(planes=planes, pairwise_angles_deg=angles, slopes=slopes)
+def economy_indicators(series_list, metric: str = DEFAULT_ERROR_METRIC) -> EconomyIndicators:
+    """Fit all planes and assemble the derived indicator set, input order kept."""
+    return EconomyIndicators(tuple(economy_plane(s, metric=metric) for s in series_list))
 
 
 __all__ = [

@@ -89,7 +89,8 @@ class FitReport:
     """Result of one fit: the model and one label per distance in
     ``model.error.per_point_distance``. Its ``err`` is the aggregate of those
     distances that ``metadata["metric"]`` names, ``DEFAULT_ERROR_METRIC``
-    where it names none; an unknown metric is an InvalidInputError.
+    where it names none; an unknown metric is an InvalidInputError. ``err``
+    is fixed at construction, where ``metadata`` is copied.
 
     ``labels`` reads as a sequence of ``str``, as in PointCloud. A ``range``
     (``build_fit_report``'s labels for an unlabelled cloud) is kept as the
@@ -104,6 +105,7 @@ class FitReport:
     labels: Sequence[str]
     metadata: dict = field(default_factory=dict)
     cloud: PointCloud | None = None
+    err: float = field(init=False)
 
     def __post_init__(self):
         labels = self.labels
@@ -113,12 +115,10 @@ class FitReport:
             labels = tuple(str(x) for x in labels)
         if len(labels) != len(self.model.error.per_point_distance):
             raise InvalidInputError("report labels must match the per-point distances")
-        object.__setattr__(self, "labels", labels)
-        self.err  # InvalidInputError for an unknown metric
-
-    @property
-    def err(self) -> float:
-        return self.model.error.metric(self.metadata.get("metric", DEFAULT_ERROR_METRIC))
+        metadata = dict(self.metadata)
+        err = self.model.error.metric(metadata.get("metric", DEFAULT_ERROR_METRIC))
+        for name, value in (("labels", labels), ("metadata", metadata), ("err", err)):
+            object.__setattr__(self, name, value)
 
     @property
     def per_point(self) -> tuple[tuple[str, float], ...]:
@@ -170,24 +170,30 @@ def report_to_dict(report: FitReport) -> dict:
     return _report_dict(report, [{"label": lab, "distance": d} for lab, d in report.per_point])
 
 
+def _entry(data, key: str, kind=object):
+    """``data[key]``, if ``data`` is a dict holding a ``kind`` there."""
+    if not (isinstance(data, dict) and key in data and isinstance(data[key], kind)):
+        raise InvalidInputError(f"report dict: {key!r} is missing or of the wrong type")
+    return data[key]
+
+
 def report_from_dict(data: dict) -> FitReport:
     """Rebuild a report from its dict form (the cloud is not recoverable).
-    Its residuals and ``err`` are computed again from the distances."""
-    m = data["model"]
-    stats = ResidualStats([p["distance"] for p in data["per_point"]])
-    if m["geometry"] == "line":
-        model = FittedLine(anchor=m["anchor"], direction=m["direction"], error=stats)
-    elif m["geometry"] == "plane":
-        model = FittedHyperplane(
-            normal=m["normal"], centroid=m["centroid"], offset=float(m["offset"]), error=stats
-        )
+    Its residuals and ``err`` are computed again from the distances. A
+    missing key, or a value of the wrong type, is an InvalidInputError."""
+    m = _entry(data, "model", dict)
+    points = _entry(data, "per_point", list)
+    stats = ResidualStats([_entry(p, "distance") for p in points])
+    geometry = _entry(m, "geometry")
+    if geometry == "line":
+        model = FittedLine(_entry(m, "anchor"), _entry(m, "direction"), stats)
+    elif geometry == "plane":
+        offset = float(_entry(m, "offset", (int, float)))
+        model = FittedHyperplane(_entry(m, "normal"), _entry(m, "centroid"), offset, stats)
     else:
-        raise InvalidInputError(f"unknown geometry {m['geometry']!r}")
-    return FitReport(
-        model=model,
-        labels=tuple(p["label"] for p in data["per_point"]),
-        metadata=dict(data.get("metadata", {})),
-    )
+        raise InvalidInputError(f"unknown geometry {geometry!r}")
+    metadata = _entry(data, "metadata", dict) if "metadata" in data else {}
+    return FitReport(model, tuple(_entry(p, "label") for p in points), metadata)
 
 
 #: The characters that ``encode_basestring_ascii`` escapes: all but printable

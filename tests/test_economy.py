@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from decimal import Decimal
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 from orthoreg import (
     DegenerateGeometryError,
+    EconomyIndicators,
     EconomyPlane,
     FittedHyperplane,
     IndicatorSeries,
@@ -43,7 +46,7 @@ def plane_from_normal(normal, country="XX"):
         offset=0.0,
         error=ResidualStats([0.0]),
     )
-    return EconomyPlane(country=country, plane=model, yearly_distances={}, err_reported=0.0)
+    return EconomyPlane(country=country, plane=model, years=(2000,))
 
 
 class TestDataset:
@@ -63,6 +66,13 @@ class TestDataset:
             IndicatorSeries("XX", (1990, 1991), (1.0,), (1.0, 2.0), (1.0, 2.0))
         with pytest.raises(InvalidInputError):
             IndicatorSeries("XX", (1990, 1990), (1.0, 2.0), (1.0, 2.0), (1.0, 2.0))
+
+    @pytest.mark.parametrize("code", [None, 123, ("a",)], ids=["None", "int", "tuple"])
+    def test_a_country_code_that_is_not_a_str_is_invalid(self, code):
+        """Every writer takes the code as a string: csv and text format it,
+        and json keys the slopes by it."""
+        with pytest.raises(InvalidInputError, match="^country code must be a str, not "):
+            IndicatorSeries(code, (1990, 1991, 1992), (1.0, 2.0, 4.0), (1.0, 3.0, 2.0), (5.0, 1.0, 2.0))
 
     def test_series_sorts_by_year(self):
         shuffled = IndicatorSeries(
@@ -108,6 +118,34 @@ class TestEconomyPlane:
             ep = economy_plane(s)
             means = [np.mean(s.unemployment), np.mean(s.gdp_change), np.mean(s.inflation)]
             assert np.abs(ep.plane.centroid - means).max() < 1e-9
+
+    def test_derived_from_the_plane(self):
+        """yearly_distances and err_reported are computed at construction,
+        from the plane's distances and the metric, not passed in."""
+        ep = economy_plane(series_by_code()["SK"], metric="rms")
+        again = EconomyPlane("SK", ep.plane, list(ep.years), "rms")
+        assert again == ep
+        assert again.years == tuple(range(1994, 2001))
+        assert again.err_reported == ep.plane.error.rms
+        with pytest.raises(TypeError):
+            EconomyPlane("SK", ep.plane, ep.years, yearly_distances={}, err_reported=0.0)
+
+    def test_years_must_match_the_distances_one_to_one(self):
+        plane = economy_plane(series_by_code()["SK"]).plane
+        match = "^SK: years must match the distances one to one$"
+        for years in (range(1994, 2000), range(1994, 2002), (1994,) * 7):
+            with pytest.raises(InvalidInputError, match=match):
+                EconomyPlane("SK", plane, years)
+
+    def test_an_unknown_metric_is_invalid(self):
+        plane = economy_plane(series_by_code()["SK"]).plane
+        with pytest.raises(InvalidInputError, match="^unknown error metric 'max'$"):
+            EconomyPlane("SK", plane, range(1994, 2001), "max")
+
+    def test_a_plane_that_is_not_3d_is_invalid(self):
+        plane = FittedHyperplane(np.array([0.6, 0.8]), np.zeros(2), 0.0, ResidualStats([0.0]))
+        with pytest.raises(InvalidInputError, match="^XX: an economy plane must be 3-D$"):
+            EconomyPlane("XX", plane, (2000,))
 
     def test_yearly_distances_labeled(self):
         ep = economy_plane(series_by_code()["SK"])
@@ -258,3 +296,28 @@ class TestIndicators:
         v4 = v4_dataset()
         with pytest.raises(InvalidInputError, match=f"^{v4[0].country}: country code repeated$"):
             economy_indicators(v4 + v4[:1])
+        planes = [plane_from_normal([0.0, 0.0, 1.0], c) for c in ("AA", "BB", "BB", "AA")]
+        with pytest.raises(InvalidInputError, match="^BB: country code repeated$"):
+            EconomyIndicators(planes)
+
+    def test_angles_and_slopes_derived_from_the_planes(self):
+        ind = economy_indicators(v4_dataset())
+        again = EconomyIndicators(list(ind.planes))
+        assert again.planes == ind.planes
+        assert again.pairwise_angles_deg.tobytes() == ind.pairwise_angles_deg.tobytes()
+        assert again.slopes == {p.country: plane_slopes(p) for p in ind.planes}
+        assert ind.pairwise_angles_deg[0, 1] == plane_angle(ind.planes[0], ind.planes[1])
+        with pytest.raises(TypeError):
+            EconomyIndicators(ind.planes, ind.pairwise_angles_deg, ind.slopes)
+
+    @pytest.mark.parametrize("copier", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                             ids=["deepcopy", "pickle"])
+    def test_copies_keep_every_derived_field(self, copier):
+        ind = economy_indicators(v4_dataset(), metric="sum_sq")
+        back = copier(ind)
+        assert back.pairwise_angles_deg.tobytes() == ind.pairwise_angles_deg.tobytes()
+        assert back.slopes == ind.slopes
+        for a, b in zip(back.planes, ind.planes):
+            assert (a.years, a.metric, a.err_reported) == (b.years, b.metric, b.err_reported)
+            assert a.yearly_distances == b.yearly_distances
+            assert a.plane.normal.tobytes() == b.plane.normal.tobytes()

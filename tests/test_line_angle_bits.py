@@ -131,7 +131,7 @@ def plane_records():
     ]
     for normal in normals:
         plane = FittedHyperplane(np.array(normal), np.zeros(3), 0.0, stats)
-        planes.append(EconomyPlane("XX", plane, {}, 0.0))
+        planes.append(EconomyPlane("XX", plane, (1994, 1995, 1996)))
     for a in planes:
         yield encode(plane_slopes(a))
         yield [encode(plane_angle(a, b)) for b in planes]

@@ -75,24 +75,16 @@ def comparison():
 
 
 def economy():
+    """Axis-aligned normals, so every angle and slope is exactly 0 or 90."""
     def plane(country, normal, centroid, distances, years):
         stats = ResidualStats(distances)
-        return EconomyPlane(
-            country=country,
-            plane=FittedHyperplane(np.array(normal), np.array(centroid), 0.25, stats),
-            yearly_distances=dict(zip(years, distances)),
-            err_reported=stats.sum_abs,
-        )
+        plane = FittedHyperplane(np.array(normal), np.array(centroid), 0.25, stats)
+        return EconomyPlane(country, plane, years)
 
-    planes = (
-        plane("SK", [0.0, 0.6, 0.8], [12.5, 4.5, 10.25], [0.5, 0.25, 0.125], (1994, 1995, 1996)),
+    return EconomyIndicators((
+        plane("SK", [0.0, 0.0, 1.0], [12.5, 4.5, 10.25], [0.5, 0.25, 0.125], (1994, 1995, 1996)),
         plane("XX", [1.0, 0.0, 0.0], [3.0, -1.5, 2.0], [0.0, 0.75, 1.5], (1998, 1999, 2000)),
-    )
-    return EconomyIndicators(
-        planes=planes,
-        pairwise_angles_deg=np.array([[0.0, 90.0], [90.0, 0.0]]),
-        slopes={"SK": (36.875, 90.0, 53.125), "XX": (90.0, 90.0, 0.0)},
-    )
+    ))
 
 
 RENDERS = {
@@ -117,9 +109,9 @@ DIGESTS = {
     "compare-csv": "ffb6892488600564c3be2f5ffba429126e02d37954bbd8cb4ec92040137d9385",
     "compare-json": "a21bb9a9334939698d14d4b7e6df1adbf18f62af5b2e3f38e23209fac910ca70",
     "compare-text": "343f9d1edfce8b5fc0588ed796d95f3c74b6adf98653cea8608de62561537fca",
-    "economy-csv": "bdb1216ef9441c0a37a867ad543d88a02e656d603666f36d94ea9fea04478383",
-    "economy-json": "00ac7d598164c9ef57b10eef0abdd265083f0ccdad130e3020f049692433f966",
-    "economy-text": "e1288f7f4cdd5164fc3c4b86d740932b9d72a4f15f6dfe97280d335898f5a70e",
+    "economy-csv": "dcb93f7475eb688c812644f081cdf8ceb7bec7a33b0934e83d4f866987c66272",
+    "economy-json": "abaafdd58247fb47889797757cd0cbbb163f3ed099f59722187f7f1df158f456",
+    "economy-text": "5726c7dbf51d3f092649f57c10b47d1c5a1384860f7dbc5eccdc01aea2d13a89",
     "fit-line-csv": "08b4b51059abf208d342697a6e280c766a0b73ab127fa7d41dc8c31998eb2420",
     "fit-line-json": "e1fbecab8414709fd0deb5de850f6952999ff02d932a52d767780aa84e1eba12",
     "fit-line-text": "96b3bcabac396fac257305b76209111454f29b44cb369fbcfc788291d56c70c5",

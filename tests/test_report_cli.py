@@ -1,8 +1,10 @@
+import copy
 import csv
 import dataclasses
 import io
 import json
 import math
+import pickle
 import subprocess
 import sys
 import warnings
@@ -139,6 +141,46 @@ class TestReportSerialization:
             FitReport(model, range(5), {"metric": "max"})
         with pytest.raises(TypeError):
             FitReport(model=model, err=1.0, labels=range(5))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_err_is_fixed_at_construction(self, five_csv, fmt):
+        """The metadata is copied, so neither the caller's dict nor
+        ``report.metadata`` edited later can change ``err``."""
+        model = csv_report(five_csv, "line").model
+        metadata = {"metric": "sum_sq"}
+        report = FitReport(model, range(5), metadata)
+        metadata["metric"] = "max"
+        assert report.metadata == {"metric": "sum_sq"}
+        report.metadata["metric"] = "max"
+        assert report.err == model.error.sum_sq
+        assert render_fit(report, fmt)
+
+    @pytest.mark.parametrize("copier", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                             ids=["deepcopy", "pickle"])
+    def test_copies_keep_every_derived_field(self, five_csv, copier):
+        for report in (csv_report(five_csv, "line", "rms"), v4_report("SK", "plane")):
+            back = copier(report)
+            assert (back.err, back.labels, back.metadata) == (report.err, report.labels, report.metadata)
+            assert back.per_point == report.per_point
+            assert render_fit(back, "json") == render_fit(report, "json")
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda data: data.clear(), "model"),
+        (lambda data: data["per_point"][2].pop("distance"), "distance"),
+        (lambda data: data["model"].pop("offset"), "offset"),
+        (lambda data: data["model"].update(offset="1.5"), "offset"),
+        (lambda data: data.update(per_point={"label": "a", "distance": 1.0}), "per_point"),
+        (lambda data: data["per_point"].__setitem__(0, 0.5), "distance"),
+        (lambda data: data.update(metadata=[("metric", "rms")]), "metadata"),
+    ], ids=["empty", "no-distance", "no-offset", "str-offset", "dict-per-point", "float-item",
+            "list-metadata"])
+    def test_a_malformed_dict_is_invalid(self, edit, key):
+        """A report read back from JSON is outside input: a missing key or a
+        value of the wrong type is an InvalidInputError that names the key."""
+        data = report_to_dict(v4_report("PL", "plane"))
+        edit(data)
+        with pytest.raises(InvalidInputError, match=f"^report dict: '{key}' is missing or of the wrong type$"):
+            report_from_dict(data)
 
     def test_unknown_model_geometry_or_format_is_invalid(self, five_csv):
         report = csv_report(five_csv, "line")
